@@ -31,7 +31,6 @@
 
 #include <chrono>
 
-#include "bench_util.hpp"
 #include "chaos/campaign.hpp"
 #include "chaos/mission.hpp"
 #include "chaos/runner.hpp"
@@ -57,42 +56,48 @@ struct Args {
   std::string replay_file;
 };
 
+/// This binary's own flags only: the model-checker knobs of the table
+/// benches (--compression, --symmetry, --por, --max-states) mean
+/// nothing to a chaos run.
 Args parse_args(int argc, char** argv) {
   Args args;
-  const bench::BenchArgs common = bench::parse_bench_args(
-      argc, argv,
-      [&args](const char* arg) {
-        if (std::strcmp(arg, "--out-of-spec") == 0) {
-          args.out_of_spec = true;
-        } else if (std::strcmp(arg, "--no-shrink") == 0) {
-          args.shrink = false;
-        } else if (std::strncmp(arg, "--runs=", 7) == 0) {
-          args.runs = std::atoi(arg + 7);
-        } else if (std::strncmp(arg, "--participants=", 15) == 0) {
-          args.participants = std::atoi(arg + 15);
-        } else if (std::strncmp(arg, "--artifacts=", 12) == 0) {
-          args.artifacts_dir = arg + 12;
-        } else if (std::strncmp(arg, "--replay=", 9) == 0) {
-          args.replay_file = arg + 9;
-        } else if (std::strcmp(arg, "--mission") == 0) {
-          args.mission = true;
-        } else if (std::strcmp(arg, "--formulas") == 0) {
-          args.formulas = true;
-        } else if (std::strncmp(arg, "--ticks=", 8) == 0) {
-          args.ticks = std::atoll(arg + 8);
-        } else if (std::strncmp(arg, "--corrupt=", 10) == 0) {
-          args.corrupt = std::atof(arg + 10);
-        } else {
-          return false;
-        }
-        return true;
-      },
-      "[--out-of-spec] [--no-shrink] [--runs=N] [--participants=N] "
-      "[--artifacts=DIR] [--replay=FILE] [--formulas] [--mission] "
-      "[--ticks=N] [--corrupt=P]");
-  args.json = common.json;
-  if (common.threads > 0) args.threads = common.threads;
-  if (common.participants > 0) args.participants = common.participants;
+  for (int i = 1; i < argc; ++i) {
+    const char* arg = argv[i];
+    if (std::strcmp(arg, "--json") == 0) {
+      args.json = true;
+    } else if (std::strncmp(arg, "--threads=", 10) == 0) {
+      const int threads = std::atoi(arg + 10);
+      if (threads > 0) args.threads = static_cast<unsigned>(threads);
+    } else if (std::strcmp(arg, "--out-of-spec") == 0) {
+      args.out_of_spec = true;
+    } else if (std::strcmp(arg, "--no-shrink") == 0) {
+      args.shrink = false;
+    } else if (std::strncmp(arg, "--runs=", 7) == 0) {
+      args.runs = std::atoi(arg + 7);
+    } else if (std::strncmp(arg, "--participants=", 15) == 0) {
+      args.participants = std::atoi(arg + 15);
+    } else if (std::strncmp(arg, "--artifacts=", 12) == 0) {
+      args.artifacts_dir = arg + 12;
+    } else if (std::strncmp(arg, "--replay=", 9) == 0) {
+      args.replay_file = arg + 9;
+    } else if (std::strcmp(arg, "--mission") == 0) {
+      args.mission = true;
+    } else if (std::strcmp(arg, "--formulas") == 0) {
+      args.formulas = true;
+    } else if (std::strncmp(arg, "--ticks=", 8) == 0) {
+      args.ticks = std::atoll(arg + 8);
+    } else if (std::strncmp(arg, "--corrupt=", 10) == 0) {
+      args.corrupt = std::atof(arg + 10);
+    } else {
+      std::fprintf(stderr,
+                   "usage: %s [--json] [--threads=N] [--runs=N] "
+                   "[--participants=N] [--out-of-spec] [--no-shrink] "
+                   "[--artifacts=DIR] [--replay=FILE] [--formulas] "
+                   "[--mission] [--ticks=N] [--corrupt=P]\n",
+                   argv[0]);
+      std::exit(2);
+    }
+  }
   return args;
 }
 

@@ -54,7 +54,7 @@ struct CampaignOptions {
 
 struct ViolatingRun {
   RunSpec spec;                       ///< the full generated run
-  std::vector<Violation> violations;  ///< as reported on the full run
+  std::vector<rv::Violation> violations;  ///< as reported on the full run
   RunSpec shrunk;                     ///< 1-minimal reproducer (== spec if
                                       ///< shrinking was disabled)
   std::string artifact;               ///< serialize_run(shrunk)
@@ -124,7 +124,8 @@ Time campaign_horizon(const proto::Timing& timing, Variant variant,
 /// reproduces a violation with the same requirement and node as the
 /// first violation of the full run. `bounds` must match the bounds the
 /// violation was found under.
-RunSpec shrink_run(const RunSpec& spec, const MonitorBounds* bounds = nullptr);
+RunSpec shrink_run(const RunSpec& spec,
+                   const rv::MonitorBounds* bounds = nullptr);
 
 CampaignResult run_campaign(const CampaignOptions& options);
 

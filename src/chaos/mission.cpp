@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "chaos/monitor.hpp"
+#include "rv/monitor.hpp"
 #include "rv/suspicion.hpp"
 #include "util/contracts.hpp"
 
@@ -46,8 +46,9 @@ std::uint64_t state_digest(const hb::Cluster& cluster) {
 }
 
 /// Copies at most `room` violations and returns how many there were.
-std::uint64_t take_capped(std::vector<Violation>& out,
-                          const std::vector<Violation>& in, std::size_t cap) {
+std::uint64_t take_capped(std::vector<rv::Violation>& out,
+                          const std::vector<rv::Violation>& in,
+                          std::size_t cap) {
   const std::size_t room = cap > out.size() ? cap - out.size() : 0;
   out.insert(out.end(), in.begin(),
              in.begin() + static_cast<std::ptrdiff_t>(
@@ -71,12 +72,11 @@ MissionResult run_mission(const MissionOptions& options) {
 
   hb::Cluster cluster(cluster_config_for(spec));
 
-  const MonitorBounds bounds =
-      MonitorBounds::defaults(spec.timing(), spec.variant, spec.fixed_bounds);
-  RequirementMonitor::Config monitor_config{spec.variant, spec.timing(),
-                                            spec.fixed_bounds,
-                                            spec.participants};
-  RequirementMonitor monitor(monitor_config, bounds);
+  const rv::MonitorBounds bounds = rv::MonitorBounds::defaults(
+      spec.timing(), spec.variant, spec.fixed_bounds);
+  rv::RequirementMonitor::Config monitor_config{
+      spec.variant, spec.timing(), spec.fixed_bounds, spec.participants};
+  rv::RequirementMonitor monitor(monitor_config, bounds);
   rv::SuspicionMonitor::Config suspicion_config;
   suspicion_config.variant = spec.variant;
   suspicion_config.timing = spec.timing();
@@ -95,18 +95,14 @@ MissionResult run_mission(const MissionOptions& options) {
   cluster.add_sink(&availability);
   integrity.attach(cluster);
 
-  std::vector<std::unique_ptr<rv::pltl::FormulaMonitor>> formula_monitors;
-  {
-    rv::pltl::BindParams params{spec.variant, spec.timing(), spec.fixed_bounds,
-                                spec.participants, 2};
-    for (const auto& formula_spec : options.formulas) {
-      auto made = rv::pltl::make_monitor(formula_spec, params);
-      AHB_EXPECTS(made.ok());
-      made.monitor->set_max_recorded(options.max_recorded_violations);
-      cluster.add_sink(made.monitor.get());
-      formula_monitors.push_back(std::move(made.monitor));
-    }
+  rv::pltl::FormulaBank formula_bank(rv::pltl::BindParams{
+      spec.variant, spec.timing(), spec.fixed_bounds, spec.participants, 2});
+  formula_bank.set_max_recorded(options.max_recorded_violations);
+  for (const auto& formula_spec : options.formulas) {
+    const std::string error = formula_bank.add(formula_spec);
+    AHB_EXPECTS(error.empty());
   }
+  if (!options.formulas.empty()) cluster.add_sink(&formula_bank);
 
   schedule_actions(cluster, spec);
   cluster.start();
@@ -139,9 +135,9 @@ MissionResult run_mission(const MissionOptions& options) {
       take_capped(result.violations, integrity.violations(), cap);
   result.violations_total +=
       integrity.summary().violations - integrity.violations().size();
-  for (const auto& formula_monitor : formula_monitors) {
-    take_capped(result.formula_violations, formula_monitor->violations(), cap);
-    result.formula_violations_total += formula_monitor->violations_total();
+  for (const auto& formula : formula_bank.formulas()) {
+    take_capped(result.formula_violations, formula.violations(), cap);
+    result.formula_violations_total += formula.violations_total();
   }
   result.availability = availability.summary();
   result.integrity = integrity.summary();

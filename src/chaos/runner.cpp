@@ -200,7 +200,7 @@ hb::ClusterConfig cluster_config_for(const RunSpec& spec) {
   return config;
 }
 
-RunResult run_chaos(const RunSpec& spec, const MonitorBounds* bounds,
+RunResult run_chaos(const RunSpec& spec, const rv::MonitorBounds* bounds,
                     bool record_trace, bool record_events,
                     const std::vector<rv::pltl::FormulaSpec>* formulas) {
   AHB_EXPECTS(spec.participants >= 1);
@@ -209,14 +209,13 @@ RunResult run_chaos(const RunSpec& spec, const MonitorBounds* bounds,
 
   hb::Cluster cluster(cluster_config_for(spec));
 
-  const MonitorBounds monitor_bounds =
+  const rv::MonitorBounds monitor_bounds =
       bounds != nullptr ? *bounds
-                        : MonitorBounds::defaults(spec.timing(), spec.variant,
-                                                  spec.fixed_bounds);
-  RequirementMonitor::Config monitor_config{spec.variant, spec.timing(),
-                                            spec.fixed_bounds,
-                                            spec.participants};
-  RequirementMonitor monitor(monitor_config, monitor_bounds);
+                        : rv::MonitorBounds::defaults(
+                              spec.timing(), spec.variant, spec.fixed_bounds);
+  rv::RequirementMonitor::Config monitor_config{
+      spec.variant, spec.timing(), spec.fixed_bounds, spec.participants};
+  rv::RequirementMonitor monitor(monitor_config, monitor_bounds);
   rv::SuspicionMonitor::Config suspicion_config;
   suspicion_config.variant = spec.variant;
   suspicion_config.timing = spec.timing();
@@ -233,22 +232,20 @@ RunResult run_chaos(const RunSpec& spec, const MonitorBounds* bounds,
   cluster.add_sink(&availability);
   integrity.attach(cluster);
 
-  // Compiled formula monitors ride the same chain; they read the event
-  // stream without touching it, so traces (and campaign fingerprints)
-  // are identical with or without them.
-  std::vector<std::unique_ptr<rv::pltl::FormulaMonitor>> formula_monitors;
+  // The compiled formulas ride the same chain in one bank; they read the
+  // event stream without touching it, so traces (and campaign
+  // fingerprints) are identical with or without them.
+  rv::pltl::FormulaBank formula_bank(rv::pltl::BindParams{
+      spec.variant, spec.timing(), spec.fixed_bounds, spec.participants, 2});
   if (formulas != nullptr) {
-    rv::pltl::BindParams params{spec.variant, spec.timing(), spec.fixed_bounds,
-                                spec.participants, 2};
     for (const auto& formula_spec : *formulas) {
-      auto made = rv::pltl::make_monitor(formula_spec, params);
-      if (!made.ok()) {
-        std::fprintf(stderr, "run_chaos: %s\n", made.error.c_str());
+      const std::string error = formula_bank.add(formula_spec);
+      if (!error.empty()) {
+        std::fprintf(stderr, "run_chaos: %s\n", error.c_str());
       }
-      AHB_EXPECTS(made.ok());
-      cluster.add_sink(made.monitor.get());
-      formula_monitors.push_back(std::move(made.monitor));
+      AHB_EXPECTS(error.empty());
     }
+    cluster.add_sink(&formula_bank);
   }
 
   RunResult result;
@@ -280,10 +277,10 @@ RunResult run_chaos(const RunSpec& spec, const MonitorBounds* bounds,
   result.violations.insert(result.violations.end(),
                            integrity.violations().begin(),
                            integrity.violations().end());
-  for (const auto& formula_monitor : formula_monitors) {
+  for (const auto& formula : formula_bank.formulas()) {
     result.formula_violations.insert(result.formula_violations.end(),
-                                     formula_monitor->violations().begin(),
-                                     formula_monitor->violations().end());
+                                     formula.violations().begin(),
+                                     formula.violations().end());
   }
   result.availability = availability.summary();
   result.integrity = integrity.summary();

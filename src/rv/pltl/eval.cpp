@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "rv/pltl/formulas.hpp"
 #include "util/contracts.hpp"
 
 namespace ahb::rv::pltl {
@@ -278,6 +279,73 @@ struct Flattener {
   }
 };
 
+// ---------------------------------------------------------------------------
+// Check-pass folding. In a check pass every event atom and `init` is
+// false, `previously` and `before` read only their stored state, and
+// nothing is committed; so each instruction's check-pass value is a
+// constant or depends on fluents and stored state, and only the latter
+// have to run.
+
+void fold_check_pass(Compiled& compiled) {
+  constexpr std::uint8_t F = 0, T = 1, D = 2;  // false, true, dynamic
+  const std::vector<Instr>& instrs = compiled.instrs;
+  const std::size_t n = instrs.size();
+  std::vector<std::uint8_t> v(n, D);
+  for (std::size_t i = 0; i < n; ++i) {
+    const Instr& ins = instrs[i];
+    const std::uint8_t a = ins.a >= 0 ? v[static_cast<std::size_t>(ins.a)] : D;
+    const std::uint8_t b = ins.b >= 0 ? v[static_cast<std::size_t>(ins.b)] : D;
+    switch (ins.op) {
+      case Node::Kind::True: v[i] = T; break;
+      case Node::Kind::False:
+      case Node::Kind::Init:
+      case Node::Kind::Event: v[i] = F; break;
+      case Node::Kind::Not: v[i] = a == D ? D : (a == T ? F : T); break;
+      case Node::Kind::And:
+        v[i] = (a == F || b == F) ? F : (a == T && b == T) ? T : D;
+        break;
+      case Node::Kind::Or:
+        v[i] = (a == T || b == T) ? T : (a == F && b == F) ? F : D;
+        break;
+      case Node::Kind::Implies:
+        v[i] = (a == F || b == T) ? T : (a == T && b == F) ? F : D;
+        break;
+      case Node::Kind::Iff:
+        v[i] = (a == D || b == D) ? D : (a == b ? T : F);
+        break;
+      case Node::Kind::Since:
+        v[i] = b == T ? T : (b == F && a == F) ? F : D;
+        break;
+      case Node::Kind::Historically:
+      case Node::Kind::Holds: v[i] = a == F ? F : D; break;
+      case Node::Kind::Once: v[i] = a == T ? T : D; break;
+      default: break;  // Fluent, Previously, Before: dynamic
+    }
+  }
+  // Keep the dynamic instructions the root reaches through the operands
+  // a check pass reads.
+  std::vector<std::uint8_t> live(n, 0);
+  live[n - 1] = v[n - 1] == D;
+  for (std::size_t i = n; i-- > 0;) {
+    const Instr& ins = instrs[i];
+    if (!live[i] || ins.op == Node::Kind::Previously ||
+        ins.op == Node::Kind::Before) {
+      continue;
+    }
+    for (const int operand : {ins.a, ins.b}) {
+      if (operand >= 0 && v[static_cast<std::size_t>(operand)] == D) {
+        live[static_cast<std::size_t>(operand)] = 1;
+      }
+    }
+  }
+  compiled.check_seed.assign(n, 0);
+  compiled.check_program.clear();
+  for (std::size_t i = 0; i < n; ++i) {
+    compiled.check_seed[i] = v[i] == T;
+    if (live[i]) compiled.check_program.push_back(static_cast<std::uint32_t>(i));
+  }
+}
+
 bool time_cmp(Time lhs, Cmp cmp, Time rhs) {
   switch (cmp) {
     case Cmp::Le: return lhs <= rhs;
@@ -397,118 +465,144 @@ CompileResult compile(const Node& formula, const BindParams& params) {
   if (flattener.out.uses_fluents) {
     flattener.out.protocol_mask |= fluent_driver_mask();
   }
+  fold_check_pass(flattener.out);
   result.compiled = std::move(flattener.out);
   return result;
 }
 
 // ---------------------------------------------------------------------------
-// FormulaMonitor.
+// Evaluator.
 
-FormulaMonitor::FormulaMonitor(Compiled compiled, const BindParams& params,
-                               std::string name, int requirement)
+Evaluator::Evaluator(Compiled compiled, std::string name, int requirement,
+                     const FluentTracker& fluents)
     : instrs_(std::move(compiled.instrs)),
-      tracker_(params.variant, params.participants),
+      check_vals_(std::move(compiled.check_seed)),
+      check_program_(std::move(compiled.check_program)),
       protocol_mask_(compiled.protocol_mask),
       channel_mask_(compiled.channel_mask),
       name_(std::move(name)),
       requirement_(requirement) {
   AHB_EXPECTS(!instrs_.empty());
+  AHB_EXPECTS(check_vals_.size() == instrs_.size());
   state_.resize(instrs_.size());
   for (std::size_t i = 0; i < instrs_.size(); ++i) {
     state_[i].t = kNever;
     state_[i].b = instrs_[i].op == Node::Kind::Historically ? 1 : 0;
   }
-  scratch_.assign(instrs_.size(), 0);
   committed_.assign(instrs_.size(), 0);
-  // Commit the initial position: time 0, no event, `init` true.
-  const bool root = eval(0, nullptr, nullptr, /*commit=*/true, /*init=*/true);
-  observe(0, root);
+  Event initial;
+  initial.init = true;
+  step(0, fluents, initial);
 }
 
-bool FormulaMonitor::eval(Time now, const hb::ProtocolEvent* pe,
-                          const sim::ChannelEvent* ce, bool commit, bool init) {
-  auto* vals = scratch_.data();
-  for (std::size_t i = 0; i < instrs_.size(); ++i) {
-    const Instr& ins = instrs_[i];
-    State& st = state_[i];
-    bool v = false;
-    switch (ins.op) {
-      case Node::Kind::True: v = true; break;
-      case Node::Kind::False: v = false; break;
-      case Node::Kind::Init: v = init; break;
-      case Node::Kind::Event:
-        if (pe != nullptr && ins.protocol_bits != 0) {
-          v = (protocol_bit(pe->kind) & ins.protocol_bits) != 0 &&
-              (ins.node < 0 || pe->node == ins.node);
-        } else if (ce != nullptr && ins.channel_bits != 0) {
-          v = (channel_bit(ce->kind) & ins.channel_bits) != 0;
-        }
-        break;
-      case Node::Kind::Fluent:
-        switch (ins.fluent) {
-          case Fluent::CoordLive: v = tracker_.coordinator_live(); break;
-          case Fluent::CoordStopped: v = !tracker_.coordinator_live(); break;
-          case Fluent::Stopped: v = tracker_.stopped(ins.node); break;
-          case Fluent::Alive: v = !tracker_.stopped(ins.node); break;
-          case Fluent::Member: v = tracker_.member(ins.node); break;
-          case Fluent::AllStopped: v = tracker_.all_stopped(); break;
-          case Fluent::AnyRegistered: v = tracker_.any_registered(); break;
-        }
-        break;
-      case Node::Kind::Not: v = !vals[ins.a]; break;
-      case Node::Kind::And: v = vals[ins.a] && vals[ins.b]; break;
-      case Node::Kind::Or: v = vals[ins.a] || vals[ins.b]; break;
-      case Node::Kind::Implies: v = !vals[ins.a] || vals[ins.b]; break;
-      case Node::Kind::Iff: v = vals[ins.a] == vals[ins.b]; break;
-      case Node::Kind::Previously:
-        v = st.b != 0;
-        if (commit) st.b = vals[ins.a];
-        break;
-      case Node::Kind::Historically:
-        v = st.b != 0 && vals[ins.a] != 0;
-        if (commit) st.b = v ? 1 : 0;
-        break;
-      case Node::Kind::Since:
-        v = vals[ins.b] != 0 || (vals[ins.a] != 0 && st.b != 0);
-        if (commit) st.b = v ? 1 : 0;
-        break;
-      case Node::Kind::Once:
-        if (ins.bound == kNever) {
-          v = vals[ins.a] != 0 || st.b != 0;
-          if (commit) st.b = v ? 1 : 0;
-        } else {
-          v = vals[ins.a] != 0 ||
-              (st.t != kNever && time_cmp(now - st.t, ins.cmp, ins.bound));
-          if (commit && vals[ins.a] != 0) st.t = now;
-        }
-        break;
-      case Node::Kind::Before:
-        // Position-strict: the witness is at an earlier position (its
-        // timestamp may equal `now`).
-        v = st.t != kNever && time_cmp(now - st.t, ins.cmp, ins.bound);
-        if (commit && vals[ins.a] != 0) st.t = now;
-        break;
-      case Node::Kind::Holds: {
-        // Anchored continuous truth: the anchor is the committed start
-        // of the current true stretch of the operand.
-        const Time anchor = st.t != kNever ? st.t : now;
-        v = vals[ins.a] != 0 && time_cmp(now - anchor, ins.cmp, ins.bound);
-        if (commit) {
-          st.t = vals[ins.a] != 0 ? (st.t != kNever ? st.t : now) : kNever;
-        }
-        break;
+// Inlined into both pass loops: an out-of-line call per instruction
+// costs more than most instructions do.
+template <bool kCommit>
+[[gnu::always_inline]] inline std::uint8_t Evaluator::eval(
+    const Instr& ins, State& st, const std::uint8_t* vals, Time now,
+    const FluentTracker& fluents, const Event& event) {
+  switch (ins.op) {
+    case Node::Kind::True: return 1;
+    case Node::Kind::False: return 0;
+    case Node::Kind::Init: return event.init;
+    case Node::Kind::Event:
+      return ((event.protocol_bit & ins.protocol_bits) != 0 &&
+              (ins.node < 0 || event.node == ins.node)) ||
+             (event.channel_bit & ins.channel_bits) != 0;
+    case Node::Kind::Fluent:
+      switch (ins.fluent) {
+        case Fluent::CoordLive: return fluents.coordinator_live();
+        case Fluent::CoordStopped: return !fluents.coordinator_live();
+        case Fluent::Stopped: return fluents.stopped(ins.node);
+        case Fluent::Alive: return !fluents.stopped(ins.node);
+        case Fluent::Member: return fluents.member(ins.node);
+        case Fluent::AllStopped: return fluents.all_stopped();
+        case Fluent::AnyRegistered: return fluents.any_registered();
       }
-      case Node::Kind::Forall:
-      case Node::Kind::Exists:
-        AHB_UNREACHABLE("quantifiers are expanded at compile time");
+      return 0;
+    case Node::Kind::Not: return !vals[ins.a];
+    case Node::Kind::And: return vals[ins.a] && vals[ins.b];
+    case Node::Kind::Or: return vals[ins.a] || vals[ins.b];
+    case Node::Kind::Implies: return !vals[ins.a] || vals[ins.b];
+    case Node::Kind::Iff: return vals[ins.a] == vals[ins.b];
+    case Node::Kind::Previously: {
+      const std::uint8_t v = st.b;
+      if (kCommit) st.b = vals[ins.a];
+      return v;
     }
-    vals[i] = v ? 1 : 0;
+    case Node::Kind::Historically: {
+      const std::uint8_t v = st.b && vals[ins.a];
+      if (kCommit) st.b = v;
+      return v;
+    }
+    case Node::Kind::Since: {
+      const std::uint8_t v = vals[ins.b] || (vals[ins.a] && st.b);
+      if (kCommit) st.b = v;
+      return v;
+    }
+    case Node::Kind::Once:
+      if (ins.bound == kNever) {
+        const std::uint8_t v = vals[ins.a] || st.b;
+        if (kCommit) st.b = v;
+        return v;
+      } else {
+        const std::uint8_t v =
+            vals[ins.a] ||
+            (st.t != kNever && time_cmp(now - st.t, ins.cmp, ins.bound));
+        if (kCommit && vals[ins.a]) st.t = now;
+        return v;
+      }
+    case Node::Kind::Before: {
+      // Position-strict: the witness is at an earlier position (its
+      // timestamp may equal `now`).
+      const std::uint8_t v =
+          st.t != kNever && time_cmp(now - st.t, ins.cmp, ins.bound);
+      if (kCommit && vals[ins.a]) st.t = now;
+      return v;
+    }
+    case Node::Kind::Holds: {
+      // Anchored continuous truth: the anchor is the committed start
+      // of the current true stretch of the operand.
+      const Time anchor = st.t != kNever ? st.t : now;
+      const std::uint8_t v =
+          vals[ins.a] && time_cmp(now - anchor, ins.cmp, ins.bound);
+      if (kCommit) st.t = vals[ins.a] ? anchor : kNever;
+      return v;
+    }
+    case Node::Kind::Forall:
+    case Node::Kind::Exists:
+      break;
   }
-  if (commit) committed_ = scratch_;
-  return vals[instrs_.size() - 1] != 0;
+  AHB_UNREACHABLE("quantifiers are expanded at compile time");
 }
 
-void FormulaMonitor::observe(Time now, bool root_value) {
+void Evaluator::check(Time now, const FluentTracker& fluents) {
+  // The instant `now` has been reached but the event has not happened
+  // yet: deadlines that expired strictly before it are caught with
+  // pre-event state.
+  // Locals, not members: the uint8_t stores may alias anything.
+  const Instr* instrs = instrs_.data();
+  State* state = state_.data();
+  std::uint8_t* vals = check_vals_.data();
+  for (const std::uint32_t i : check_program_) {
+    vals[i] = eval<false>(instrs[i], state[i], vals, now, fluents, Event{});
+  }
+  observe(now, vals[instrs_.size() - 1] != 0);
+}
+
+void Evaluator::step(Time now, const FluentTracker& fluents,
+                     const Event& event) {
+  const Instr* instrs = instrs_.data();
+  State* state = state_.data();
+  std::uint8_t* vals = committed_.data();
+  const std::size_t n = instrs_.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    vals[i] = eval<true>(instrs[i], state[i], vals, now, fluents, event);
+  }
+  observe(now, vals[n - 1] != 0);
+}
+
+void Evaluator::observe(Time now, bool root_value) {
   if (last_value_ && !root_value) {
     ++violations_total_;
     if (violations_.size() < max_recorded_) {
@@ -519,43 +613,110 @@ void FormulaMonitor::observe(Time now, bool root_value) {
   last_value_ = root_value;
 }
 
-void FormulaMonitor::handle(Time at, const hb::ProtocolEvent* pe,
-                            const sim::ChannelEvent* ce) {
-  ++events_seen_;
-  // Check pass: the instant `at` has been reached but the event has
-  // not happened yet — deadlines that expired strictly before the
-  // event are caught with pre-event state.
-  observe(at, eval(at, nullptr, nullptr, /*commit=*/false, /*init=*/false));
-  if (pe != nullptr) tracker_.apply(*pe);
-  // Step pass: the event's own position, committed.
-  observe(at, eval(at, pe, ce, /*commit=*/true, /*init=*/false));
-}
+// ---------------------------------------------------------------------------
+// FormulaMonitor.
+
+FormulaMonitor::FormulaMonitor(Compiled compiled, const BindParams& params,
+                               std::string name, int requirement)
+    : Evaluator(std::move(compiled), std::move(name), requirement,
+                FluentTracker(params.variant, params.participants)),
+      tracker_(params.variant, params.participants) {}
 
 void FormulaMonitor::on_protocol_event(const hb::ProtocolEvent& event) {
-  handle(event.at, &event, nullptr);
+  ++events_seen_;
+  check(event.at, tracker_);
+  tracker_.apply(event);
+  step(event.at, tracker_, Event{protocol_bit(event.kind), 0, event.node});
 }
 
 void FormulaMonitor::on_channel_event(const sim::ChannelEvent& event) {
-  handle(event.at, nullptr, &event);
+  ++events_seen_;
+  check(event.at, tracker_);
+  step(event.at, tracker_, Event{0, channel_bit(event.kind)});
 }
 
-void FormulaMonitor::finish(Time horizon) {
-  observe(horizon,
-          eval(horizon, nullptr, nullptr, /*commit=*/false, /*init=*/false));
+void FormulaMonitor::finish(Time horizon) { check(horizon, tracker_); }
+
+// ---------------------------------------------------------------------------
+// FormulaBank.
+
+FormulaBank::FormulaBank(const BindParams& params)
+    : params_(params), tracker_(params.variant, params.participants) {}
+
+std::string FormulaBank::add(const FormulaSpec& spec) {
+  AHB_EXPECTS(!started_);
+  CompileResult compiled = compile(spec, params_);
+  if (!compiled.ok()) return compiled.error;
+  Evaluator& formula = formulas_.emplace_back(
+      std::move(compiled.compiled), spec.name, spec.requirement, tracker_);
+  formula.set_max_recorded(max_recorded_);
+  protocol_mask_ |= formula.protocol_mask();
+  channel_mask_ |= formula.channel_mask();
+  return {};
+}
+
+void FormulaBank::set_max_recorded(std::size_t cap) {
+  max_recorded_ = cap;
+  for (Evaluator& formula : formulas_) formula.set_max_recorded(cap);
+}
+
+void FormulaBank::handle(Time at, const Evaluator::Event& event,
+                         const hb::ProtocolEvent* pe) {
+  started_ = true;
+  for (Evaluator& formula : formulas_) {
+    if (formula.wants(event)) {
+      ++formula.events_seen_;
+      formula.check(at, tracker_);
+    }
+  }
+  if (pe != nullptr) tracker_.apply(*pe);
+  for (Evaluator& formula : formulas_) {
+    if (formula.wants(event)) formula.step(at, tracker_, event);
+  }
+}
+
+void FormulaBank::on_protocol_event(const hb::ProtocolEvent& event) {
+  handle(event.at, Evaluator::Event{protocol_bit(event.kind), 0, event.node},
+         &event);
+}
+
+void FormulaBank::on_channel_event(const sim::ChannelEvent& event) {
+  handle(event.at, Evaluator::Event{0, channel_bit(event.kind)}, nullptr);
+}
+
+void FormulaBank::finish(Time horizon) {
+  for (Evaluator& formula : formulas_) formula.check(horizon, tracker_);
+}
+
+// ---------------------------------------------------------------------------
+// Spec entry points.
+
+CompileResult compile(const FormulaSpec& spec, const BindParams& params) {
+  const Node* formula = shipped_ast(spec.text);
+  ParseResult parsed;
+  if (formula == nullptr) {
+    parsed = parse(spec.text);
+    if (!parsed.ok()) {
+      CompileResult result;
+      result.error = "parse error in formula '" + spec.name + "' at offset " +
+                     std::to_string(parsed.error_at) + ": " + parsed.error;
+      return result;
+    }
+    formula = parsed.formula.get();
+  }
+  CompileResult result = compile(*formula, params);
+  if (!result.ok()) {
+    result.error =
+        "compile error in formula '" + spec.name + "': " + result.error;
+  }
+  return result;
 }
 
 MonitorResult make_monitor(const FormulaSpec& spec, const BindParams& params) {
   MonitorResult result;
-  ParseResult parsed = parse(spec.text);
-  if (!parsed.ok()) {
-    result.error = "parse error in formula '" + spec.name + "' at offset " +
-                   std::to_string(parsed.error_at) + ": " + parsed.error;
-    return result;
-  }
-  CompileResult compiled = compile(*parsed.formula, params);
+  CompileResult compiled = compile(spec, params);
   if (!compiled.ok()) {
-    result.error =
-        "compile error in formula '" + spec.name + "': " + compiled.error;
+    result.error = std::move(compiled.error);
     return result;
   }
   result.monitor = std::make_unique<FormulaMonitor>(

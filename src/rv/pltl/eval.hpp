@@ -19,6 +19,13 @@
 // *committed* positions: the initial position at time 0 plus one
 // position per event; check passes are phantom evaluations.
 //
+// A check pass sees no event atom and no `init`, and `previously` and
+// `before` read only their stored state there, so compile() folds it
+// bottom-up to constants and keeps just the instructions the root still
+// depends on (Compiled::check_program). A root that folds to a constant
+// skips the pass; e.g. r2's check pass is the constant true, and s2's
+// since-ladder shrinks to one stored bit per participant.
+//
 // A violation is recorded whenever the formula's value falls from true
 // to false (edge-triggered, so a standing violation is counted once
 // until the formula recovers); recorded violations are capped, the
@@ -117,6 +124,13 @@ struct Compiled {
   std::uint32_t channel_mask = 0;
   bool uses_fluents = false;
   int participants = 0;
+  /// The check pass, partially evaluated. `check_seed[i]` is
+  /// instruction i's check-pass value wherever that is a compile-time
+  /// constant; `check_program` lists, in postorder, the instructions
+  /// whose check-pass value the root still depends on. An empty program
+  /// means the root is the constant `check_seed.back()`.
+  std::vector<std::uint8_t> check_seed;
+  std::vector<std::uint32_t> check_program;
 };
 
 struct CompileResult {
@@ -126,9 +140,9 @@ struct CompileResult {
 };
 
 /// Expand quantifiers over participant ids 1..params.participants,
-/// resolve bound expressions, and flatten to postorder. Fails on
-/// unbound variables, out-of-range participant ids, arguments on
-/// channel atoms, or negative resolved bounds.
+/// resolve bound expressions, flatten to postorder, and fold the check
+/// pass. Fails on unbound variables, out-of-range participant ids,
+/// arguments on channel atoms, or negative resolved bounds.
 CompileResult compile(const Node& formula, const BindParams& params);
 
 /// A named requirement stated as a formula; `requirement` keys the
@@ -140,20 +154,25 @@ struct FormulaSpec {
   int requirement = 0;
 };
 
-/// The streaming evaluator: an EventSink over a compiled formula.
-class FormulaMonitor final : public EventSink {
- public:
-  FormulaMonitor(Compiled compiled, const BindParams& params,
-                 std::string name, int requirement);
+/// Parse + compile a spec. A shipped formula's text is parsed once per
+/// process (formulas.hpp, shipped_ast), so this only compiles it. The
+/// error names the spec and, for a parse error, the byte offset.
+CompileResult compile(const FormulaSpec& spec, const BindParams& params);
 
-  std::uint32_t protocol_interest() const override { return protocol_mask_; }
-  std::uint32_t channel_interest() const override { return channel_mask_; }
-  void on_protocol_event(const hb::ProtocolEvent& event) override;
-  void on_channel_event(const sim::ChannelEvent& event) override;
-  void finish(Time horizon) override;
+/// One compiled formula over an event stream: its temporal state, the
+/// check and step passes, and its edge-triggered verdicts. The sinks
+/// below drive it; it is not a sink itself.
+class Evaluator {
+ public:
+  /// Commits the initial position (time 0, no event, `init` true)
+  /// against `fluents`.
+  Evaluator(Compiled compiled, std::string name, int requirement,
+            const FluentTracker& fluents);
 
   const std::string& name() const { return name_; }
   int requirement() const { return requirement_; }
+  std::uint32_t protocol_mask() const { return protocol_mask_; }
+  std::uint32_t channel_mask() const { return channel_mask_; }
 
   const std::vector<Violation>& violations() const { return violations_; }
   std::uint64_t violations_total() const { return violations_total_; }
@@ -161,32 +180,56 @@ class FormulaMonitor final : public EventSink {
   void set_max_recorded(std::size_t cap) { max_recorded_ = cap; }
 
   /// Root value at the last committed position (test hook).
-  bool value() const { return committed_.empty() ? true : committed_.back() != 0; }
+  bool value() const { return committed_.back() != 0; }
   /// Per-subformula committed value, postorder index (test hook).
   bool value_at(std::size_t i) const { return committed_[i] != 0; }
   std::size_t size() const { return committed_.size(); }
 
+  /// Events this formula evaluated (step passes after the initial one).
   std::uint64_t events_seen() const { return events_seen_; }
 
  private:
+  friend class FormulaMonitor;
+  friend class FormulaBank;
+
   struct State {
     std::uint8_t b = 0;  ///< Previously/Once/Historically/Since memory
     Time t = 0;          ///< Once/Before last-true time, Holds anchor
   };
 
-  /// One evaluation pass at time `now`. Exactly one of the event
-  /// pointers may be non-null (the step pass); both null for check
-  /// passes and the initial position.
-  bool eval(Time now, const hb::ProtocolEvent* pe, const sim::ChannelEvent* ce,
-            bool commit, bool init);
+  /// What a step pass sees of its event: the kind's bit in exactly one
+  /// of the masks (none at the initial position), the protocol event's
+  /// node, and whether this is the initial position.
+  struct Event {
+    std::uint32_t protocol_bit = 0;
+    std::uint32_t channel_bit = 0;
+    int node = -1;
+    bool init = false;
+  };
+
+  bool wants(const Event& event) const {
+    return ((event.protocol_bit & protocol_mask_) |
+            (event.channel_bit & channel_mask_)) != 0;
+  }
+
+  /// The check pass at `now`: only the folded program runs, over the
+  /// pre-seeded check buffer; nothing is committed.
+  void check(Time now, const FluentTracker& fluents);
+  /// The step pass: every instruction, written straight into the
+  /// committed buffer, temporal state committed.
+  void step(Time now, const FluentTracker& fluents, const Event& event);
+
+  template <bool kCommit>
+  static std::uint8_t eval(const Instr& ins, State& st,
+                           const std::uint8_t* vals, Time now,
+                           const FluentTracker& fluents, const Event& event);
   void observe(Time now, bool root_value);
-  void handle(Time at, const hb::ProtocolEvent* pe, const sim::ChannelEvent* ce);
 
   std::vector<Instr> instrs_;
   std::vector<State> state_;
-  std::vector<std::uint8_t> scratch_;
   std::vector<std::uint8_t> committed_;
-  FluentTracker tracker_;
+  std::vector<std::uint8_t> check_vals_;
+  std::vector<std::uint32_t> check_program_;
   std::uint32_t protocol_mask_ = 0;
   std::uint32_t channel_mask_ = 0;
   std::string name_;
@@ -196,6 +239,62 @@ class FormulaMonitor final : public EventSink {
   std::uint64_t violations_total_ = 0;
   std::size_t max_recorded_ = 32;
   std::uint64_t events_seen_ = 0;
+};
+
+/// One formula as its own sink: it evaluates every event it is handed
+/// (a SinkChain hands it the events in its interest masks).
+class FormulaMonitor final : public EventSink, public Evaluator {
+ public:
+  FormulaMonitor(Compiled compiled, const BindParams& params,
+                 std::string name, int requirement);
+
+  std::uint32_t protocol_interest() const override { return protocol_mask(); }
+  std::uint32_t channel_interest() const override { return channel_mask(); }
+  void on_protocol_event(const hb::ProtocolEvent& event) override;
+  void on_channel_event(const sim::ChannelEvent& event) override;
+  void finish(Time horizon) override;
+
+ private:
+  FluentTracker tracker_;
+};
+
+/// Every formula of one run behind one sink and one fluent tracker.
+/// Per event: the check pass of each formula whose masks contain the
+/// event, against pre-event fluents; one FluentTracker::apply; then
+/// those formulas' step passes. Each formula still evaluates only at
+/// the events in its own masks, so its positions, and its verdicts,
+/// are those of a FormulaMonitor on the same chain.
+class FormulaBank final : public EventSink {
+ public:
+  explicit FormulaBank(const BindParams& params);
+
+  /// Compiles `spec` against the bank's params and attaches it; only
+  /// before the first event. Returns the compile(spec) error, empty on
+  /// success.
+  std::string add(const FormulaSpec& spec);
+  /// Applies to every formula, attached or still to come.
+  void set_max_recorded(std::size_t cap);
+
+  /// In attachment order.
+  const std::vector<Evaluator>& formulas() const { return formulas_; }
+
+  std::uint32_t protocol_interest() const override { return protocol_mask_; }
+  std::uint32_t channel_interest() const override { return channel_mask_; }
+  void on_protocol_event(const hb::ProtocolEvent& event) override;
+  void on_channel_event(const sim::ChannelEvent& event) override;
+  void finish(Time horizon) override;
+
+ private:
+  void handle(Time at, const Evaluator::Event& event,
+              const hb::ProtocolEvent* pe);
+
+  BindParams params_;
+  FluentTracker tracker_;
+  std::vector<Evaluator> formulas_;
+  std::uint32_t protocol_mask_ = 0;
+  std::uint32_t channel_mask_ = 0;
+  std::size_t max_recorded_ = 32;
+  bool started_ = false;
 };
 
 /// Parse + compile + wrap: the one-call path from a FormulaSpec to a

@@ -22,6 +22,23 @@ const ShippedFormula* find_shipped(std::string_view name) {
   return nullptr;
 }
 
+const Node* shipped_ast(std::string_view text) {
+  static const std::vector<NodePtr> asts = [] {
+    std::vector<NodePtr> parsed;
+    // A file that fails to parse stays null here and is re-parsed, and
+    // reported, by whoever attaches it.
+    for (const auto& formula : shipped_formulas()) {
+      parsed.push_back(parse(formula.text).formula);
+    }
+    return parsed;
+  }();
+  const auto& all = shipped_formulas();
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    if (all[i].text == text) return asts[i].get();
+  }
+  return nullptr;
+}
+
 int shipped_requirement(std::string_view name) {
   if (name == "r1" || name == "r1_watchdog") return 1;
   if (name == "r2") return 2;

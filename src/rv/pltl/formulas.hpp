@@ -25,6 +25,11 @@ const std::vector<ShippedFormula>& shipped_formulas();
 /// Lookup by name; nullptr if absent.
 const ShippedFormula* find_shipped(std::string_view name);
 
+/// The parsed AST of the shipped formula whose full text is `text`, or
+/// nullptr. Every shipped file is parsed once per process, so a run
+/// that attaches the shipped formulas only compiles them.
+const Node* shipped_ast(std::string_view text);
+
 /// The requirement number a shipped formula's violations carry
 /// (r1/r1_watchdog -> 1, r2 -> 2, r3 -> 3, s2 -> 4); 0 for names
 /// without a conventional number.

@@ -290,7 +290,7 @@ TEST(Campaign, NegativeControlFiresShrinksAndReplays) {
     const auto parsed = parse_run(violating.artifact);
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, violating.shrunk);
-    const MonitorBounds bounds = MonitorBounds::defaults(
+    const rv::MonitorBounds bounds = rv::MonitorBounds::defaults(
         parsed->timing(), parsed->variant, parsed->fixed_bounds);
     const RunResult replay_a = run_chaos(*parsed, &bounds, true);
     const RunResult replay_b = run_chaos(*parsed, &bounds, true);
@@ -302,7 +302,7 @@ TEST(Campaign, NegativeControlFiresShrinksAndReplays) {
     const auto& target = violating.violations.front();
     EXPECT_TRUE(std::any_of(
         replay_a.violations.begin(), replay_a.violations.end(),
-        [&](const Violation& v) {
+        [&](const rv::Violation& v) {
           return v.requirement == target.requirement && v.node == target.node;
         }));
   }
@@ -337,18 +337,19 @@ TEST(MutationCanary, LoosenedBoundSilencesTheNegativeControl) {
   const RunResult strict = run_chaos(spec);
   ASSERT_FALSE(strict.violations.empty());
   EXPECT_TRUE(std::any_of(strict.violations.begin(), strict.violations.end(),
-                          [](const Violation& v) {
+                          [](const rv::Violation& v) {
                             return v.requirement == 3 && v.node == 1;
                           }));
 
   // Artificially loosened R3 slack: the same run must stop reporting
   // the violation — the proof the monitor deadline is what bites.
-  MonitorBounds loose = MonitorBounds::defaults(
+  rv::MonitorBounds loose = rv::MonitorBounds::defaults(
       spec.timing(), spec.variant, spec.fixed_bounds);
   loose.r3_slack += 10 * spec.tmax;
   const RunResult lenient = run_chaos(spec, &loose);
   EXPECT_TRUE(std::none_of(lenient.violations.begin(),
-                           lenient.violations.end(), [](const Violation& v) {
+                           lenient.violations.end(),
+                           [](const rv::Violation& v) {
                              return v.requirement == 3;
                            }));
 }
@@ -362,7 +363,7 @@ TEST(MutationCanary, ShrunkReproducerReplaysFromSerializedForm) {
   ASSERT_TRUE(parsed.has_value());
   const RunResult replay = run_chaos(*parsed);
   EXPECT_TRUE(std::any_of(replay.violations.begin(), replay.violations.end(),
-                          [](const Violation& v) {
+                          [](const rv::Violation& v) {
                             return v.requirement == 3 && v.node == 1;
                           }));
 }

@@ -31,6 +31,7 @@
 #include "rv/pltl/eval.hpp"
 #include "rv/pltl/formulas.hpp"
 #include "rv/pltl/pltl.hpp"
+#include "rv/sink_chain.hpp"
 #include "rv/suspicion.hpp"
 
 namespace ahb {
@@ -642,15 +643,127 @@ struct FormulaGen {
   }
 };
 
-TEST(PltlFuzz, StreamingMatchesFullHistoryReference) {
-  std::mt19937_64 rng{20260807};
+// One event of a random trace: a protocol event (70 %) or a channel
+// event, at nondecreasing times from 0.
+struct TraceEvent {
+  bool channel = false;
+  ProtocolEvent pe{};
+  sim::ChannelEvent ce{};
+  sim::Time at() const { return channel ? ce.at : pe.at; }
+};
+
+std::vector<TraceEvent> random_trace(std::mt19937_64& rng, int events) {
+  std::vector<TraceEvent> trace;
+  sim::Time now = 0;
+  for (int e = 0; e < events; ++e) {
+    now += static_cast<sim::Time>(rng() % 4);
+    TraceEvent event;
+    if (rng() % 10 < 7) {
+      const auto kind = static_cast<PKind>(rng() % 12);
+      const int node = static_cast<int>(rng() % 4);  // 0..participants
+      event.pe = pev(kind, node, now);
+    } else {
+      event.channel = true;
+      event.ce = cev(static_cast<CKind>(rng() % 7), now);
+    }
+    trace.push_back(event);
+  }
+  return trace;
+}
+
+// The reference run of one formula: its committed positions are the
+// initial one plus the events its masks take. Before each of those
+// events it also evaluates the phantom check position (same `at`, no
+// atoms, pre-event fluents, not `init`), and at the end the phantom
+// position of finish(horizon). The violation stream is the falls of
+// the root value from true to false over that sequence of values.
+struct RefRun {
+  bool initial = true;          ///< root value at the initial position
+  std::vector<bool> committed;  ///< root value at each taken event
+  std::uint64_t violations_total = 0;
+  std::vector<sim::Time> violation_at;
+};
+
+RefRun ref_run(const pltl::Node& formula, const std::vector<TraceEvent>& trace,
+               std::uint32_t protocol_mask, std::uint32_t channel_mask,
+               const pltl::BindParams& params, sim::Time horizon) {
+  RefRun run;
+  bool last = true;
+  const auto observe = [&](bool value, sim::Time at) {
+    if (last && !value) {
+      ++run.violations_total;
+      run.violation_at.push_back(at);
+    }
+    last = value;
+  };
+  // Fluents follow every protocol event, taken or not.
+  pltl::FluentTracker fluents(params.variant, params.participants);
+  std::vector<RefPos> pos(1);
+  pos[0].init = true;
+  pos[0].fluents = fluents;
+  run.initial = ref_eval(formula, 0, pos, params, {});
+  observe(run.initial, 0);
+  const auto phantom = [&](sim::Time at) {
+    RefPos p;
+    p.at = at;
+    p.fluents = fluents;
+    pos.push_back(p);
+    observe(ref_eval(formula, static_cast<int>(pos.size()) - 1, pos, params,
+                     {}),
+            at);
+    pos.pop_back();
+  };
+  for (const TraceEvent& event : trace) {
+    const bool taken =
+        event.channel
+            ? (rv::channel_bit(event.ce.kind) & channel_mask) != 0
+            : (rv::protocol_bit(event.pe.kind) & protocol_mask) != 0;
+    if (taken) phantom(event.at());
+    if (!event.channel) fluents.apply(event.pe);
+    if (!taken) continue;
+    RefPos p;
+    p.at = event.at();
+    p.has_pe = !event.channel;
+    p.pe = event.pe;
+    p.has_ce = event.channel;
+    p.ce = event.ce;
+    p.fluents = fluents;
+    pos.push_back(p);
+    const bool value =
+        ref_eval(formula, static_cast<int>(pos.size()) - 1, pos, params, {});
+    run.committed.push_back(value);
+    observe(value, event.at());
+  }
+  phantom(horizon);
+  return run;
+}
+
+void expect_verdicts(const pltl::Evaluator& got, const RefRun& want) {
+  EXPECT_EQ(got.violations_total(), want.violations_total);
+  ASSERT_EQ(got.violations().size(), want.violation_at.size());
+  for (std::size_t i = 0; i < want.violation_at.size(); ++i) {
+    EXPECT_EQ(got.violations()[i].at, want.violation_at[i])
+        << "violation " << i;
+  }
+}
+
+pltl::BindParams fuzz_params() {
   pltl::BindParams params;
   params.variant = proto::Variant::Dynamic;
   params.timing = proto::Timing{4, 10};
   params.fixed_bounds = true;
   params.participants = 3;
+  return params;
+}
+
+constexpr std::size_t kRecordAll = 1u << 10;
+
+TEST(PltlFuzz, StreamingMatchesFullHistoryReference) {
+  std::mt19937_64 rng{20260807};
+  const pltl::BindParams params = fuzz_params();
 
   int formulas_checked = 0;
+  int formulas_violated = 0;
   for (int iter = 0; iter < 400; ++iter) {
     FormulaGen gen{rng, params.participants};
     std::vector<std::string> vars;
@@ -668,52 +781,168 @@ TEST(PltlFuzz, StreamingMatchesFullHistoryReference) {
     auto made = pltl::make_monitor({"fuzz", text, 9}, params);
     ASSERT_TRUE(made.ok()) << made.error;
     auto& monitor = *made.monitor;
+    monitor.set_max_recorded(kRecordAll);
+    EXPECT_EQ(monitor.value(), ref_run(*parsed.formula, {}, 0, 0, params, 0)
+                                   .initial);
 
-    // Random trace; reference positions mirror the two-pass discipline:
-    // position 0 is the initial commit, each event is one committed
-    // position with post-event fluents.
-    std::vector<RefPos> pos;
-    RefPos initial;
-    initial.init = true;
-    initial.fluents = pltl::FluentTracker(params.variant, params.participants);
-    pos.push_back(initial);
-
-    sim::Time now = 0;
-    const int events = 40;
-    for (int e = 0; e < events; ++e) {
-      now += static_cast<sim::Time>(rng() % 4);
-      RefPos p;
-      p.at = now;
-      p.fluents = pos.back().fluents;
-      if (rng() % 10 < 7) {
-        const auto kind = static_cast<PKind>(rng() % 12);
-        const int node = static_cast<int>(rng() % 4);  // 0..participants
-        p.has_pe = true;
-        p.pe = pev(kind, node, now);
-        p.fluents.apply(p.pe);
-        monitor.on_protocol_event(p.pe);
+    // Called directly, the monitor evaluates every event it is handed,
+    // so every event is a reference position.
+    const std::vector<TraceEvent> trace = random_trace(rng, 40);
+    const sim::Time horizon = trace.back().at() + 1 + rng() % 12;
+    const RefRun want = ref_run(*parsed.formula, trace, ~0u, ~0u, params,
+                                horizon);
+    for (std::size_t e = 0; e < trace.size(); ++e) {
+      if (trace[e].channel) {
+        monitor.on_channel_event(trace[e].ce);
       } else {
-        const auto kind = static_cast<CKind>(rng() % 7);
-        p.has_ce = true;
-        p.ce = cev(kind, now);
-        monitor.on_channel_event(p.ce);
+        monitor.on_protocol_event(trace[e].pe);
       }
-      pos.push_back(p);
-
-      const int i = static_cast<int>(pos.size()) - 1;
-      const bool expect = ref_eval(*parsed.formula, i, pos, params, {});
-      ASSERT_EQ(monitor.value(), expect)
-          << "position " << i << " at t=" << now;
+      ASSERT_EQ(monitor.value(), want.committed[e])
+          << "position " << e + 1 << " at t=" << trace[e].at();
     }
-    // And the initial position, once per formula.
-    ASSERT_EQ(ref_eval(*parsed.formula, 0, pos, params, {}),
-              [&] {
-                auto fresh = pltl::make_monitor({"fuzz", text, 9}, params);
-                return fresh.monitor->value();
-              }());
+    monitor.finish(horizon);
+    expect_verdicts(monitor, want);
     ++formulas_checked;
+    if (want.violations_total > 0) ++formulas_violated;
   }
   EXPECT_EQ(formulas_checked, 400);
+  // Not vacuous: many formulas fall, some several times.
+  EXPECT_GT(formulas_violated, 100);
+}
+
+// Counts what a chain delivers; subscribes to every kind, as the
+// campaign's trace recorder and the availability stats do.
+class AllEventsSink final : public rv::EventSink {
+ public:
+  std::uint32_t channel_interest() const override {
+    return rv::kAllChannelEvents;
+  }
+  void on_protocol_event(const ProtocolEvent&) override { ++seen; }
+  void on_channel_event(const sim::ChannelEvent&) override { ++seen; }
+  std::size_t seen = 0;
+};
+
+TEST(PltlFuzz, ChainAndBankEvaluateEachFormulaAtItsInterestEvents) {
+  std::mt19937_64 rng{20261018};
+  const pltl::BindParams params = fuzz_params();
+  constexpr int kPerBank = 4;
+
+  int filtered = 0;
+  int violated = 0;
+  for (int iter = 0; iter < 100; ++iter) {
+    std::vector<pltl::NodePtr> asts;
+    std::vector<std::unique_ptr<pltl::FormulaMonitor>> monitors;
+    pltl::FormulaBank bank(params);
+    bank.set_max_recorded(kRecordAll);
+    AllEventsSink chain_all, bank_all;
+    rv::SinkChain chain, bank_chain;
+    chain.add(&chain_all);
+    bank_chain.add(&bank_all);
+    std::string texts;
+    for (int f = 0; f < kPerBank; ++f) {
+      FormulaGen gen{rng, params.participants};
+      std::vector<std::string> vars;
+      const std::string text = gen.gen(4, vars);
+      texts += "\n  " + text;
+      auto parsed = pltl::parse(text);
+      ASSERT_TRUE(parsed.ok()) << parsed.error;
+      asts.push_back(std::move(parsed.formula));
+      auto made = pltl::make_monitor({"fuzz", text, 9}, params);
+      ASSERT_TRUE(made.ok()) << made.error;
+      made.monitor->set_max_recorded(kRecordAll);
+      chain.add(made.monitor.get());
+      monitors.push_back(std::move(made.monitor));
+      ASSERT_EQ(bank.add({"fuzz", text, 9}), "");
+    }
+    bank_chain.add(&bank);
+    SCOPED_TRACE("iter " + std::to_string(iter) + ":" + texts);
+
+    const std::vector<TraceEvent> trace = random_trace(rng, 40);
+    const sim::Time horizon = trace.back().at() + 1 + rng() % 12;
+    for (const TraceEvent& event : trace) {
+      for (rv::SinkChain* target : {&chain, &bank_chain}) {
+        if (event.channel) {
+          target->emit(event.ce);
+        } else {
+          target->emit(event.pe);
+        }
+      }
+    }
+    chain.finish(horizon);
+    bank_chain.finish(horizon);
+    ASSERT_EQ(chain_all.seen, trace.size());
+    ASSERT_EQ(bank_all.seen, trace.size());
+
+    ASSERT_EQ(bank.formulas().size(), static_cast<std::size_t>(kPerBank));
+    for (int f = 0; f < kPerBank; ++f) {
+      SCOPED_TRACE("formula " + std::to_string(f));
+      const auto& monitor = *monitors[static_cast<std::size_t>(f)];
+      const RefRun want = ref_run(*asts[static_cast<std::size_t>(f)], trace,
+                                  monitor.protocol_interest(),
+                                  monitor.channel_interest(), params, horizon);
+      expect_verdicts(monitor, want);
+      expect_verdicts(bank.formulas()[static_cast<std::size_t>(f)], want);
+      EXPECT_EQ(monitor.events_seen(), want.committed.size());
+      EXPECT_EQ(bank.formulas()[static_cast<std::size_t>(f)].events_seen(),
+                want.committed.size());
+      if (want.committed.size() < trace.size()) ++filtered;
+      if (want.violations_total > 0) ++violated;
+    }
+  }
+  // Not vacuous: masks drop events for many formulas, and many fall.
+  EXPECT_GT(filtered, 100);
+  EXPECT_GT(violated, 100);
+}
+
+// --- the folded check passes of the shipped formulas ----------------------
+
+TEST(PltlCompile, ShippedCheckPassesFoldToTheirHoldsChains) {
+  auto params = binary_params();
+  params.variant = proto::Variant::Static;
+  params.participants = 2;
+  const auto compiled = [&](const char* name) {
+    const pltl::Node* ast = pltl::shipped_ast(pltl::find_shipped(name)->text);
+    EXPECT_NE(ast, nullptr) << name;
+    auto result = pltl::compile(*ast, params);
+    EXPECT_TRUE(result.ok()) << result.error;
+    return std::move(result.compiled);
+  };
+  const auto ops = [](const pltl::Compiled& c) {
+    std::vector<pltl::Node::Kind> kinds;
+    for (const auto i : c.check_program) kinds.push_back(c.instrs[i].op);
+    return kinds;
+  };
+  using K = pltl::Node::Kind;
+
+  // r2 holds at every phantom position: no inactivation is happening.
+  const auto r2 = compiled("r2");
+  EXPECT_TRUE(r2.check_program.empty());
+  EXPECT_EQ(r2.check_seed.back(), 1);
+
+  // r1 is all fluents under `holds`: nothing folds away.
+  const auto r1 = compiled("r1");
+  EXPECT_EQ(ops(r1), (std::vector<K>{K::Fluent, K::Fluent, K::And, K::Fluent,
+                                     K::And, K::Holds, K::Not}));
+
+  // r3: the same chain per participant, joined by one And.
+  const auto r3 = compiled("r3");
+  EXPECT_EQ(r3.check_program.size(), 11u);
+  EXPECT_EQ(r3.instrs.size(), 11u);
+
+  // s2: each participant's since-ladder is its outer `since` reading
+  // its stored bit; 21 of 51 instructions remain.
+  const auto s2 = compiled("s2");
+  EXPECT_EQ(s2.instrs.size(), 51u);
+  EXPECT_EQ(s2.check_program.size(), 21u);
+  const std::vector<K> per_participant = {K::Fluent, K::Fluent, K::And,
+                                          K::Fluent, K::And,    K::Since,
+                                          K::Not,    K::And,    K::Holds,
+                                          K::Not};
+  std::vector<K> expected = per_participant;
+  expected.insert(expected.end(), per_participant.begin(),
+                  per_participant.end());
+  expected.push_back(K::And);
+  EXPECT_EQ(ops(s2), expected);
 }
 
 // --- shipped formulas vs hand-written monitors on chaos runs --------------
