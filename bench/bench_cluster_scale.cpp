@@ -256,9 +256,9 @@ int detection_runs(int n) { return n >= 100'000 ? 10 : n >= 10'000 ? 20 : 50; }
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = bench::parse_bench_args(argc, argv);
+  const auto args = bench::parse_plain_args(argc, argv, "nodes");
   std::vector<int> sizes{1'000, 10'000, 100'000};
-  if (args.participants > 0) sizes = {args.participants};
+  if (args.count > 0) sizes = {args.count};
 
   if (!args.json) {
     std::printf("== Cluster-scale heartbeat engine (static protocol, "

@@ -102,7 +102,7 @@ DelayStats coordinator_crash_sweep(hb::Time tmin, hb::Time tmax,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::BenchArgs args = bench::parse_bench_args(argc, argv);
+  const bench::PlainArgs args = bench::parse_plain_args(argc, argv);
   constexpr int kRuns = 300;
   const hb::Time tmax = 16;
 

@@ -238,7 +238,7 @@ void emit_row(const Row& r, double loss) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::BenchArgs args = bench::parse_bench_args(argc, argv);
+  const bench::PlainArgs args = bench::parse_plain_args(argc, argv);
   if (args.json) {
     for (const double loss : {0.01, 0.02, 0.05, 0.10}) {
       emit_row(bench_accelerated("accelerated (paper bounds)", "accel_paper",

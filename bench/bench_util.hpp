@@ -8,13 +8,14 @@
 //    "threads": N, "store_bytes": B, "compression": "none",
 //    "symmetry": "none", "por": false, "reduction_factor": 1.00}
 // so sweep scripts can diff runs without scraping the human tables.
+// Benches that run no model checking take only --json (and, where they
+// read one, a positional count) through parse_plain_args.
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <string>
 
 #include <sys/resource.h>
@@ -56,17 +57,10 @@ struct BenchArgs {
   }
 };
 
-/// Binary-specific flag hook: return true when `arg` was consumed.
-/// Lets a bench keep its extra flags while sharing the common parser.
-using ExtraFlag = std::function<bool(const char* arg)>;
-
-/// Parses --json, --threads=N, --compression=MODE and an optional
-/// positional participant count; exits with usage on anything else.
-/// `extra` (if given) gets a shot at unrecognised flags first, and
-/// `extra_usage` is appended to the usage line it prints on failure.
-inline BenchArgs parse_bench_args(int argc, char** argv,
-                                  const ExtraFlag& extra = {},
-                                  const char* extra_usage = "") {
+/// Parses --json, --threads=N, --compression=MODE, --symmetry=MODE,
+/// --por, --max-states=N and an optional positional participant count;
+/// exits with usage on anything else.
+inline BenchArgs parse_bench_args(int argc, char** argv) {
   BenchArgs args;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
@@ -100,8 +94,6 @@ inline BenchArgs parse_bench_args(int argc, char** argv,
       args.por = true;
     } else if (std::strncmp(arg, "--max-states=", 13) == 0) {
       args.max_states = std::strtoull(arg + 13, nullptr, 10);
-    } else if (extra && extra(arg)) {
-      // consumed by the binary's own flag set
     } else if (arg[0] != '-') {
       args.participants = std::atoi(arg);
     } else {
@@ -109,8 +101,38 @@ inline BenchArgs parse_bench_args(int argc, char** argv,
                    "usage: %s [--json] [--threads=N] "
                    "[--compression=none|pack|collapse] "
                    "[--symmetry=none|participants] [--por] "
-                   "[--max-states=N] [participants]%s%s\n",
-                   argv[0], *extra_usage ? " " : "", extra_usage);
+                   "[--max-states=N] [participants]\n",
+                   argv[0]);
+      std::exit(2);
+    }
+  }
+  return args;
+}
+
+/// Flags of the benches that run no model checking.
+struct PlainArgs {
+  bool json = false;
+  int count = 0;  ///< the positional argument, when one is accepted
+};
+
+/// Parses --json and, when `positional` names one, a positional count;
+/// exits with a usage line listing just those on anything else.
+inline PlainArgs parse_plain_args(int argc, char** argv,
+                                  const char* positional = nullptr) {
+  PlainArgs args;
+  for (int i = 1; i < argc; ++i) {
+    const char* arg = argv[i];
+    if (std::strcmp(arg, "--json") == 0) {
+      args.json = true;
+    } else if (positional != nullptr && arg[0] != '-') {
+      args.count = std::atoi(arg);
+    } else {
+      if (positional != nullptr) {
+        std::fprintf(stderr, "usage: %s [--json] [%s]\n", argv[0],
+                     positional);
+      } else {
+        std::fprintf(stderr, "usage: %s [--json]\n", argv[0]);
+      }
       std::exit(2);
     }
   }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <barrier>
-#include <deque>
 #include <thread>
 
 #include "util/contracts.hpp"
@@ -28,21 +27,209 @@ bool lex_less(std::span<const ta::Slot> a, std::span<const ta::Slot> b) {
 // terminates through duplicate detection).
 constexpr std::uint32_t kFusionDepthCap = 64;
 
+// The sequential loop's store: a StateStore plus the BFS parent links a
+// ConcurrentStateStore records itself, so both loops intern and walk
+// parents through the same calls.
+class LinkedStore : public StateStore {
+ public:
+  using StateStore::StateStore;
+
+  std::pair<std::uint32_t, bool> intern(std::span<const ta::Slot> slots,
+                                        std::uint32_t parent) {
+    const auto interned = StateStore::intern(slots);
+    if (interned.second) parents_.push_back(parent);
+    return interned;
+  }
+  std::uint32_t parent_of(std::uint32_t index) const {
+    return parents_[index];
+  }
+
+ private:
+  std::vector<std::uint32_t> parents_;
+};
+
 }  // namespace
 
 Explorer::Explorer(const ta::Network& net) : net_(&net) {
   AHB_EXPECTS(net.frozen());
 }
 
+// One search worker: successor scratches and buffers, the fused-
+// transient worklist, the next-layer indices it discovered, its counters
+// and its best target hit. The sequential loop runs one worker, the
+// parallel loop one per thread; both hand every frontier state to
+// expand(), so the loops differ only in frontier scheduling, store and
+// hit policy.
+class Explorer::Worker {
+ public:
+  enum class Halt { kNone, kLimit, kHit };
+
+  Worker(const ta::Network& net, const StopFn& stop,
+         const SearchLimits& limits, bool stop_at_hit)
+      : canon(limits.symmetry == ta::Symmetry::Participants &&
+              net.codec().has_canonicalization()),
+        por(limits.por),
+        net_(&net),
+        stop_(&stop),
+        max_states_(limits.max_states),
+        stop_at_hit_(stop_at_hit) {}
+
+  /// Interns the canonical image of the initial state; returns its
+  /// index and whether the real initial state is a target.
+  template <typename Store>
+  std::pair<std::uint32_t, bool> seed(Store& store) {
+    const ta::State init = net_->initial_state();
+    test_buf_.assign(init.slots());
+    if (canon) net_->codec().canonicalize(test_buf_.slots_mut());
+    const auto [index, inserted] =
+        store.intern(test_buf_.slots(), Store::kInvalidIndex);
+    AHB_ASSERT(inserted);
+    return {index, (*stop_)(init, stop_scratch_)};
+  }
+
+  /// Expands the stored state `index`: counts every successor, checks
+  /// the state cap before interning, fuses through committed states
+  /// (por), canonicalizes (canon), interns with `index` as parent and
+  /// tests each new state. kHit only when hits stop the search; the
+  /// parallel loop finishes the layer and keeps the smallest hit.
+  template <typename Store>
+  Halt expand(Store& store, std::uint32_t index) {
+    // Frontier states were published before the previous layer barrier,
+    // so the sharded store's lock-free decode is ordered.
+    store.load(index, state_buf_);
+    halt_ = Halt::kNone;
+    pending_top_ = 0;
+    expand_one(store, index, state_buf_, 0);
+    while (halt_ == Halt::kNone && pending_top_ > 0) {
+      // Swap the item out of its slot: its own expansion pushes new
+      // pending entries into the slot just vacated.
+      --pending_top_;
+      std::swap(cur_fused_, pending_states_[pending_top_]);
+      expand_one(store, index, cur_fused_, pending_depths_[pending_top_]);
+    }
+    return halt_;
+  }
+
+  /// The stored chain to the best hit: canonical images from the
+  /// initial state's to the hit's.
+  template <typename Store>
+  std::vector<ta::State> hit_chain(const Store& store) const {
+    std::vector<ta::State> chain{found_canon};
+    for (std::uint32_t i = found_from; i != Store::kInvalidIndex;
+         i = store.parent_of(i)) {
+      chain.push_back(store.get(i));
+    }
+    std::reverse(chain.begin(), chain.end());
+    return chain;
+  }
+
+  const bool canon;  ///< intern orbit representatives
+  const bool por;    ///< ample sets + committed-chain fusion
+  std::vector<std::uint32_t> next;  ///< new states for the next layer
+  std::uint64_t transitions = 0;
+  std::uint64_t fused = 0;
+  bool found = false;
+  std::uint32_t found_from = 0;  ///< stored state whose expansion hit
+  ta::State found_canon;         ///< canonical image of the hit
+
+ private:
+  template <typename Store>
+  void expand_one(Store& store, std::uint32_t index, const ta::State& s,
+                  std::uint32_t fuse_depth) {
+    const auto on_view = [&](const ta::SuccessorView& v) {
+      return on_target(store, index, v.target, fuse_depth);
+    };
+    if (por) {
+      net_->for_each_successor_reduced(s, scratch_, on_view);
+    } else {
+      net_->for_each_successor(s, scratch_, on_view);
+    }
+  }
+
+  template <typename Store>
+  bool on_target(Store& store, std::uint32_t index,
+                 std::span<const ta::Slot> target, std::uint32_t fuse_depth) {
+    ++transitions;
+    // Checked before interning so the store never exceeds max_states,
+    // no matter the remaining fan-out.
+    if (store.size() >= max_states_) {
+      halt_ = Halt::kLimit;
+      return false;
+    }
+    // Without reductions the target is its own key: it is interned in
+    // place and copied out only when new.
+    const bool reduced = canon || por;
+    if (reduced) {
+      test_buf_.assign(target);
+      if (por && fuse_depth < kFusionDepthCap &&
+          net_->committed_location_active(test_buf_)) {
+        // Transient: evaluate the predicate (fusion must not skip error
+        // states), then expand through it without interning.
+        if ((*stop_)(test_buf_, stop_scratch_)) {
+          if (canon) net_->codec().canonicalize(test_buf_.slots_mut());
+          return hit(index);
+        }
+        ++fused;
+        push_pending(target, fuse_depth + 1);
+        return true;
+      }
+      if (canon) net_->codec().canonicalize(test_buf_.slots_mut());
+    }
+    const auto [child, is_new] =
+        store.intern(reduced ? test_buf_.slots() : target, index);
+    if (!is_new) return true;
+    if (!reduced) test_buf_.assign(target);
+    if ((*stop_)(test_buf_, stop_scratch_)) return hit(index);
+    next.push_back(child);
+    return true;
+  }
+
+  // Records the hit whose canonical image is in test_buf_, reached by
+  // expanding `index`. Which worker sees which hit depends on
+  // scheduling; the lexicographic minimum over canonical images does
+  // not.
+  bool hit(std::uint32_t index) {
+    if (!found || lex_less(test_buf_.slots(), found_canon.slots())) {
+      found = true;
+      found_from = index;
+      found_canon.assign(test_buf_.slots());
+    }
+    if (!stop_at_hit_) return true;  // finish the layer regardless
+    halt_ = Halt::kHit;
+    return false;
+  }
+
+  // Fused-transient worklist: a swap-out stack of reusable State
+  // buffers, so committed-chain expansion allocates only on high-water
+  // growth.
+  void push_pending(std::span<const ta::Slot> target, std::uint32_t depth) {
+    if (pending_top_ < pending_states_.size()) {
+      pending_states_[pending_top_].assign(target);
+      pending_depths_[pending_top_] = depth;
+    } else {
+      pending_states_.emplace_back(target);
+      pending_depths_.push_back(depth);
+    }
+    ++pending_top_;
+  }
+
+  const ta::Network* net_;
+  const StopFn* stop_;
+  std::uint64_t max_states_;
+  bool stop_at_hit_;
+  Halt halt_ = Halt::kNone;
+  ta::SuccessorScratch scratch_;       // drives the enumeration
+  ta::SuccessorScratch stop_scratch_;  // available to the stop predicate
+  ta::State state_buf_;
+  ta::State test_buf_;
+  ta::State cur_fused_;
+  std::vector<ta::State> pending_states_;
+  std::vector<std::uint32_t> pending_depths_;
+  std::size_t pending_top_ = 0;
+};
+
 SearchResult Explorer::run(const StopFn& stop, const SearchLimits& limits) {
   const unsigned threads = resolve_threads(limits.threads);
-  const bool reduced =
-      limits.por || (limits.symmetry == ta::Symmetry::Participants &&
-                     net_->codec().has_canonicalization());
-  if (reduced) {
-    if (threads == 1) return run_sequential_reduced(stop, limits);
-    return run_parallel_reduced(stop, limits, threads);
-  }
   if (threads == 1) return run_sequential(stop, limits);
   return run_parallel(stop, limits, threads);
 }
@@ -50,79 +237,50 @@ SearchResult Explorer::run(const StopFn& stop, const SearchLimits& limits) {
 SearchResult Explorer::run_sequential(const StopFn& stop,
                                       const SearchLimits& limits) {
   const auto start_time = std::chrono::steady_clock::now();
-  Core core{StateStore{net_->codec(), limits.compression}, {}, 0, 0};
+  LinkedStore store{net_->codec(), limits.compression};
+  Worker w{*net_, stop, limits, /*stop_at_hit=*/true};
 
   SearchResult result;
   const auto finish = [&](bool complete) {
     result.complete = complete;
-    result.stats.states = core.store.size();
-    result.stats.transitions = core.transitions;
-    result.stats.depth = core.depth;
-    result.stats.store_bytes = core.store.memory_bytes();
+    result.stats.states = store.size();
+    result.stats.transitions = w.transitions;
+    result.stats.fused = w.fused;
+    result.stats.store_bytes = store.memory_bytes();
     result.stats.elapsed = std::chrono::steady_clock::now() - start_time;
     return result;
   };
 
-  ta::SuccessorScratch scratch;       // drives the enumeration
-  ta::SuccessorScratch stop_scratch;  // available to the stop predicate
-  ta::State state_buf;
-  ta::State test_buf;
-
-  const ta::State init = net_->initial_state();
-  auto [init_index, inserted] = core.store.intern(init);
-  AHB_ASSERT(inserted);
-  core.parent.push_back(StateStore::kInvalidIndex);
-
-  if (stop(init, stop_scratch)) {
+  const auto [init_index, init_hit] = w.seed(store);
+  if (init_hit) {
     result.found = true;
-    result.trace = rebuild_trace(core, init_index);
+    result.trace.push_back(TraceStep{"", net_->initial_state()});
     // The initial state already answers the query: nothing beyond it was
     // asked for, so the trivial search is complete, not truncated.
     return finish(true);
   }
 
   // BFS layer by layer so `depth` is exact and depth limits are honest.
-  enum class Outcome { kRunning, kFound, kLimit };
-  std::deque<std::uint32_t> frontier{init_index};
+  std::vector<std::uint32_t> frontier{init_index};
   while (!frontier.empty()) {
-    if (limits.max_depth != 0 && core.depth >= limits.max_depth) {
+    if (limits.max_depth != 0 && result.stats.depth >= limits.max_depth) {
       return finish(false);
     }
-    ++core.depth;
-    std::deque<std::uint32_t> next_frontier;
+    ++result.stats.depth;
     for (const std::uint32_t index : frontier) {
-      core.store.load(index, state_buf);
-      Outcome outcome = Outcome::kRunning;
-      std::uint32_t found_index = 0;
-      net_->for_each_successor(
-          state_buf, scratch, [&](const ta::SuccessorView& v) {
-            ++core.transitions;
-            // Checked before interning so the store never exceeds
-            // limits.max_states, no matter the remaining fan-out.
-            if (core.store.size() >= limits.max_states) {
-              outcome = Outcome::kLimit;
-              return false;
-            }
-            auto [child, is_new] = core.store.intern(v.target);
-            if (!is_new) return true;
-            core.parent.push_back(index);
-            test_buf.assign(v.target);
-            if (stop(test_buf, stop_scratch)) {
-              outcome = Outcome::kFound;
-              found_index = child;
-              return false;
-            }
-            next_frontier.push_back(child);
-            return true;
-          });
-      if (outcome == Outcome::kFound) {
-        result.found = true;
-        result.trace = rebuild_trace(core, found_index);
-        return finish(false);
+      switch (w.expand(store, index)) {
+        case Worker::Halt::kNone:
+          break;
+        case Worker::Halt::kLimit:
+          return finish(false);
+        case Worker::Halt::kHit:
+          result.found = true;
+          result.trace = rebuild_trace(w.hit_chain(store), w.canon, w.por);
+          return finish(false);
       }
-      if (outcome == Outcome::kLimit) return finish(false);
     }
-    frontier = std::move(next_frontier);
+    frontier.swap(w.next);
+    w.next.clear();
   }
   return finish(true);
 }
@@ -132,53 +290,37 @@ SearchResult Explorer::run_parallel(const StopFn& stop,
                                     unsigned threads) {
   const auto start_time = std::chrono::steady_clock::now();
   ConcurrentStateStore store{net_->codec(), limits.compression};
-  std::uint64_t depth = 0;
-  std::uint64_t transitions = 0;
+  std::vector<Worker> workers;
+  workers.reserve(threads);
+  for (unsigned t = 0; t < threads; ++t) {
+    workers.emplace_back(*net_, stop, limits, /*stop_at_hit=*/false);
+  }
 
   SearchResult result;
   const auto finish = [&](bool complete) {
     result.complete = complete;
     result.stats.states = store.size();
-    result.stats.transitions = transitions;
-    result.stats.depth = depth;
     result.stats.store_bytes = store.memory_bytes();
     result.stats.elapsed = std::chrono::steady_clock::now() - start_time;
     return result;
   };
 
-  // Per-worker state: scratches, reusable state buffers, the next-layer
-  // indices it discovered, and its best (lexicographically smallest)
-  // target hit of the current layer.
-  struct Worker {
-    ta::SuccessorScratch scratch;
-    ta::SuccessorScratch stop_scratch;
-    ta::State state_buf;
-    ta::State test_buf;
-    std::vector<std::uint32_t> next;
-    std::uint64_t transitions = 0;
-    bool found = false;
-    std::uint32_t found_index = 0;
-    ta::State found_state;
-  };
-  std::vector<Worker> workers(threads);
-
-  const ta::State init = net_->initial_state();
-  auto [init_index, inserted] =
-      store.intern(init, ConcurrentStateStore::kInvalidIndex);
-  AHB_ASSERT(inserted);
-
-  if (stop(init, workers[0].stop_scratch)) {
+  const auto [init_index, init_hit] = workers[0].seed(store);
+  if (init_hit) {
     result.found = true;
-    result.trace = rebuild_trace(store, init_index);
+    result.trace.push_back(TraceStep{"", net_->initial_state()});
     return finish(true);
   }
 
   // Layer-synchronous BFS. Each layer, workers claim frontier chunks via
-  // an atomic cursor, expand them through the allocation-free successor
-  // API, and intern children (with parent links) into the sharded store.
-  // A layer always runs to completion — target hits never abort it — so
-  // the set of states discovered per layer, and with it every verdict,
-  // depth and counterexample length, is independent of scheduling.
+  // an atomic cursor and expand them into the sharded store, which
+  // records parent links at intern time. A layer always runs to
+  // completion — target hits never abort it — and the layer's hit is the
+  // lexicographic minimum over the workers' canonical images, so the set
+  // of states discovered per layer, and with it every verdict, depth and
+  // counterexample length, is independent of scheduling (the replayed
+  // path itself may differ between runs: parent links are first-
+  // inserter-wins).
   std::vector<std::uint32_t> frontier{init_index};
   std::vector<std::uint32_t> next_frontier;
   std::atomic<std::size_t> cursor{0};
@@ -194,410 +336,9 @@ SearchResult Explorer::run_parallel(const StopFn& stop,
       if (begin >= frontier.size()) return;
       const std::size_t end = std::min(begin + chunk, frontier.size());
       for (std::size_t i = begin; i < end; ++i) {
-        const std::uint32_t index = frontier[i];
-        // Frontier states were published before the previous layer
-        // barrier, so the lock-free decode is ordered.
-        store.load(index, w.state_buf);
-        net_->for_each_successor(
-            w.state_buf, w.scratch, [&](const ta::SuccessorView& v) {
-              ++w.transitions;
-              if (store.size() >= limits.max_states) {
-                limit_hit.store(true, std::memory_order_relaxed);
-                return false;
-              }
-              auto [child, is_new] = store.intern(v.target, index);
-              if (!is_new) return true;
-              w.test_buf.assign(v.target);
-              if (stop(w.test_buf, w.stop_scratch)) {
-                // Which worker sees which target depends on scheduling;
-                // the per-layer lexicographic minimum does not.
-                if (!w.found || lex_less(v.target, w.found_state.slots())) {
-                  w.found = true;
-                  w.found_index = child;
-                  w.found_state.assign(v.target);
-                }
-                return true;  // finish the layer regardless
-              }
-              w.next.push_back(child);
-              return true;
-            });
-      }
-    }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(threads - 1);
-  for (unsigned t = 1; t < threads; ++t) {
-    pool.emplace_back([&, t] {
-      while (true) {
-        sync.arrive_and_wait();  // layer start (or shutdown)
-        if (done.load(std::memory_order_relaxed)) return;
-        expand(workers[t]);
-        sync.arrive_and_wait();  // layer end
-      }
-    });
-  }
-
-  bool complete = false;
-  bool found = false;
-  std::uint32_t found_index = 0;
-  while (true) {
-    if (limit_hit.load(std::memory_order_relaxed)) break;
-    if (frontier.empty()) {
-      complete = true;
-      break;
-    }
-    if (limits.max_depth != 0 && depth >= limits.max_depth) break;
-    ++depth;
-    cursor.store(0, std::memory_order_relaxed);
-    chunk = std::clamp<std::size_t>(
-        frontier.size() / (static_cast<std::size_t>(threads) * 8), 1, 1024);
-    sync.arrive_and_wait();  // release the layer
-    expand(workers[0]);
-    sync.arrive_and_wait();  // wait for stragglers
-
-    const Worker* best = nullptr;
-    for (const auto& w : workers) {
-      if (!w.found) continue;
-      if (best == nullptr ||
-          lex_less(w.found_state.slots(), best->found_state.slots())) {
-        best = &w;
-      }
-    }
-    if (best != nullptr) {
-      found = true;
-      found_index = best->found_index;
-      break;
-    }
-    next_frontier.clear();
-    for (auto& w : workers) {
-      next_frontier.insert(next_frontier.end(), w.next.begin(), w.next.end());
-      w.next.clear();
-    }
-    frontier.swap(next_frontier);
-  }
-
-  done.store(true, std::memory_order_relaxed);
-  sync.arrive_and_wait();  // let the pool observe `done` and exit
-  for (auto& t : pool) t.join();
-  for (const auto& w : workers) transitions += w.transitions;
-
-  if (found) {
-    result.found = true;
-    result.trace = rebuild_trace(store, found_index);
-    return finish(false);
-  }
-  return finish(complete);
-}
-
-SearchResult Explorer::run_sequential_reduced(const StopFn& stop,
-                                              const SearchLimits& limits) {
-  const auto start_time = std::chrono::steady_clock::now();
-  Core core{StateStore{net_->codec(), limits.compression}, {}, 0, 0};
-  const ta::StateCodec& codec = net_->codec();
-  const bool canon = limits.symmetry == ta::Symmetry::Participants &&
-                     codec.has_canonicalization();
-  const bool por = limits.por;
-  std::uint64_t fused = 0;
-
-  SearchResult result;
-  const auto finish = [&](bool complete) {
-    result.complete = complete;
-    result.stats.states = core.store.size();
-    result.stats.transitions = core.transitions;
-    result.stats.depth = core.depth;
-    result.stats.fused = fused;
-    result.stats.store_bytes = core.store.memory_bytes();
-    result.stats.elapsed = std::chrono::steady_clock::now() - start_time;
-    return result;
-  };
-
-  ta::SuccessorScratch scratch;
-  ta::SuccessorScratch stop_scratch;
-  ta::State state_buf;
-  ta::State test_buf;
-  ta::State cur_fused;
-  // Fused-transient worklist: a swap-out stack of reusable State
-  // buffers, so committed-chain expansion allocates only on high-water
-  // growth.
-  std::vector<ta::State> pending_states;
-  std::vector<std::uint32_t> pending_depths;
-  std::size_t pending_top = 0;
-  const auto push_pending = [&](std::span<const ta::Slot> target,
-                                std::uint32_t depth) {
-    if (pending_top < pending_states.size()) {
-      pending_states[pending_top].assign(target);
-      pending_depths[pending_top] = depth;
-    } else {
-      pending_states.emplace_back(target);
-      pending_depths.push_back(depth);
-    }
-    ++pending_top;
-  };
-
-  const ta::State init = net_->initial_state();
-  test_buf.assign(init.slots());
-  if (canon) codec.canonicalize(test_buf.slots_mut());
-  auto [init_index, inserted] = core.store.intern(test_buf);
-  AHB_ASSERT(inserted);
-  core.parent.push_back(StateStore::kInvalidIndex);
-
-  if (stop(init, stop_scratch)) {
-    result.found = true;
-    result.trace.push_back(TraceStep{"", init});
-    return finish(true);
-  }
-
-  enum class Outcome { kRunning, kFound, kLimit };
-  std::deque<std::uint32_t> frontier{init_index};
-  while (!frontier.empty()) {
-    if (limits.max_depth != 0 && core.depth >= limits.max_depth) {
-      return finish(false);
-    }
-    ++core.depth;
-    std::deque<std::uint32_t> next_frontier;
-    for (const std::uint32_t index : frontier) {
-      core.store.load(index, state_buf);
-      Outcome outcome = Outcome::kRunning;
-      std::uint32_t found_index = 0;
-      bool found_transient = false;
-      ta::State found_canon;
-
-      const auto on_target = [&](std::span<const ta::Slot> target,
-                                 std::uint32_t fuse_depth) -> bool {
-        ++core.transitions;
-        if (core.store.size() >= limits.max_states) {
-          outcome = Outcome::kLimit;
-          return false;
-        }
-        test_buf.assign(target);
-        if (por && fuse_depth < kFusionDepthCap &&
-            net_->committed_location_active(test_buf)) {
-          // Transient: evaluate the predicate (fusion must not skip
-          // error states), then expand through it without interning.
-          if (stop(test_buf, stop_scratch)) {
-            outcome = Outcome::kFound;
-            found_transient = true;
-            found_canon.assign(target);
-            if (canon) codec.canonicalize(found_canon.slots_mut());
-            return false;
-          }
-          ++fused;
-          push_pending(target, fuse_depth + 1);
-          return true;
-        }
-        if (canon) codec.canonicalize(test_buf.slots_mut());
-        auto [child, is_new] = core.store.intern(test_buf);
-        if (!is_new) return true;
-        core.parent.push_back(index);
-        if (stop(test_buf, stop_scratch)) {
-          outcome = Outcome::kFound;
-          found_index = child;
-          return false;
-        }
-        next_frontier.push_back(child);
-        return true;
-      };
-      const auto expand_one = [&](const ta::State& s, std::uint32_t depth) {
-        if (por) {
-          net_->for_each_successor_reduced(
-              s, scratch, [&](const ta::SuccessorView& v) {
-                return on_target(v.target, depth);
-              });
-        } else {
-          net_->for_each_successor(
-              s, scratch, [&](const ta::SuccessorView& v) {
-                return on_target(v.target, depth);
-              });
-        }
-      };
-
-      pending_top = 0;
-      expand_one(state_buf, 0);
-      while (outcome == Outcome::kRunning && pending_top > 0) {
-        // Swap the item out of its slot: its own expansion pushes new
-        // pending entries into the slot just vacated.
-        --pending_top;
-        std::swap(cur_fused, pending_states[pending_top]);
-        const std::uint32_t depth = pending_depths[pending_top];
-        expand_one(cur_fused, depth);
-      }
-
-      if (outcome == Outcome::kFound) {
-        result.found = true;
-        std::vector<ta::State> chain;
-        for (std::uint32_t i = found_transient ? index : found_index;
-             i != StateStore::kInvalidIndex; i = core.parent[i]) {
-          chain.push_back(core.store.get(i));
-        }
-        std::reverse(chain.begin(), chain.end());
-        if (found_transient) chain.push_back(std::move(found_canon));
-        result.trace = rebuild_trace_replay(chain, canon, por);
-        return finish(false);
-      }
-      if (outcome == Outcome::kLimit) return finish(false);
-    }
-    frontier = std::move(next_frontier);
-  }
-  return finish(true);
-}
-
-SearchResult Explorer::run_parallel_reduced(const StopFn& stop,
-                                            const SearchLimits& limits,
-                                            unsigned threads) {
-  const auto start_time = std::chrono::steady_clock::now();
-  ConcurrentStateStore store{net_->codec(), limits.compression};
-  const ta::StateCodec& codec = net_->codec();
-  const bool canon = limits.symmetry == ta::Symmetry::Participants &&
-                     codec.has_canonicalization();
-  const bool por = limits.por;
-  std::uint64_t depth = 0;
-  std::uint64_t transitions = 0;
-  std::uint64_t fused = 0;
-
-  SearchResult result;
-  const auto finish = [&](bool complete) {
-    result.complete = complete;
-    result.stats.states = store.size();
-    result.stats.transitions = transitions;
-    result.stats.depth = depth;
-    result.stats.fused = fused;
-    result.stats.store_bytes = store.memory_bytes();
-    result.stats.elapsed = std::chrono::steady_clock::now() - start_time;
-    return result;
-  };
-
-  // Per-worker state mirrors the unreduced parallel loop plus the fused
-  // worklist and the canonical image of its best target hit. Which
-  // worker finds which hit depends on scheduling; the per-layer
-  // lexicographic minimum over canonical images does not, so verdicts,
-  // state counts and depths stay thread-count-invariant (the replayed
-  // trace path through a fused gap may differ between runs).
-  struct Worker {
-    ta::SuccessorScratch scratch;
-    ta::SuccessorScratch stop_scratch;
-    ta::State state_buf;
-    ta::State test_buf;
-    ta::State cur_fused;
-    std::vector<ta::State> pending_states;
-    std::vector<std::uint32_t> pending_depths;
-    std::size_t pending_top = 0;
-    std::vector<std::uint32_t> next;
-    std::uint64_t transitions = 0;
-    std::uint64_t fused = 0;
-    bool found = false;
-    bool found_transient = false;
-    std::uint32_t found_index = 0;   ///< interned hit
-    std::uint32_t found_parent = 0;  ///< stored ancestor of a transient hit
-    ta::State found_canon;           ///< canonical image of the hit
-  };
-  std::vector<Worker> workers(threads);
-
-  const ta::State init = net_->initial_state();
-  workers[0].test_buf.assign(init.slots());
-  if (canon) codec.canonicalize(workers[0].test_buf.slots_mut());
-  auto [init_index, inserted] =
-      store.intern(workers[0].test_buf, ConcurrentStateStore::kInvalidIndex);
-  AHB_ASSERT(inserted);
-
-  if (stop(init, workers[0].stop_scratch)) {
-    result.found = true;
-    result.trace.push_back(TraceStep{"", init});
-    return finish(true);
-  }
-
-  std::vector<std::uint32_t> frontier{init_index};
-  std::vector<std::uint32_t> next_frontier;
-  std::atomic<std::size_t> cursor{0};
-  std::atomic<bool> limit_hit{false};
-  std::atomic<bool> done{false};
-  std::size_t chunk = 1;
-  std::barrier<> sync(static_cast<std::ptrdiff_t>(threads));
-
-  const auto expand = [&](Worker& w) {
-    const auto record_hit = [&](const ta::State& hit_canon, bool transient,
-                                std::uint32_t hit_index,
-                                std::uint32_t parent_index) {
-      if (!w.found || lex_less(hit_canon.slots(), w.found_canon.slots())) {
-        w.found = true;
-        w.found_transient = transient;
-        w.found_index = hit_index;
-        w.found_parent = parent_index;
-        w.found_canon.assign(hit_canon.slots());
-      }
-    };
-    const auto push_pending = [&](std::span<const ta::Slot> target,
-                                  std::uint32_t fuse_depth) {
-      if (w.pending_top < w.pending_states.size()) {
-        w.pending_states[w.pending_top].assign(target);
-        w.pending_depths[w.pending_top] = fuse_depth;
-      } else {
-        w.pending_states.emplace_back(target);
-        w.pending_depths.push_back(fuse_depth);
-      }
-      ++w.pending_top;
-    };
-    ta::State hit_scratch;
-    while (!limit_hit.load(std::memory_order_relaxed)) {
-      const std::size_t begin =
-          cursor.fetch_add(chunk, std::memory_order_relaxed);
-      if (begin >= frontier.size()) return;
-      const std::size_t end = std::min(begin + chunk, frontier.size());
-      for (std::size_t i = begin; i < end; ++i) {
-        const std::uint32_t index = frontier[i];
-        store.load(index, w.state_buf);
-
-        const auto on_target = [&](std::span<const ta::Slot> target,
-                                   std::uint32_t fuse_depth) -> bool {
-          ++w.transitions;
-          if (store.size() >= limits.max_states) {
-            limit_hit.store(true, std::memory_order_relaxed);
-            return false;
-          }
-          w.test_buf.assign(target);
-          if (por && fuse_depth < kFusionDepthCap &&
-              net_->committed_location_active(w.test_buf)) {
-            if (stop(w.test_buf, w.stop_scratch)) {
-              hit_scratch.assign(target);
-              if (canon) codec.canonicalize(hit_scratch.slots_mut());
-              record_hit(hit_scratch, /*transient=*/true, 0, index);
-              return true;  // finish the layer regardless
-            }
-            ++w.fused;
-            push_pending(target, fuse_depth + 1);
-            return true;
-          }
-          if (canon) codec.canonicalize(w.test_buf.slots_mut());
-          auto [child, is_new] = store.intern(w.test_buf, index);
-          if (!is_new) return true;
-          if (stop(w.test_buf, w.stop_scratch)) {
-            record_hit(w.test_buf, /*transient=*/false, child, index);
-            return true;  // finish the layer regardless
-          }
-          w.next.push_back(child);
-          return true;
-        };
-        const auto expand_one = [&](const ta::State& s, std::uint32_t d) {
-          if (por) {
-            net_->for_each_successor_reduced(
-                s, w.scratch, [&](const ta::SuccessorView& v) {
-                  return on_target(v.target, d);
-                });
-          } else {
-            net_->for_each_successor(
-                s, w.scratch, [&](const ta::SuccessorView& v) {
-                  return on_target(v.target, d);
-                });
-          }
-        };
-
-        w.pending_top = 0;
-        expand_one(w.state_buf, 0);
-        while (!limit_hit.load(std::memory_order_relaxed) &&
-               w.pending_top > 0) {
-          --w.pending_top;
-          std::swap(w.cur_fused, w.pending_states[w.pending_top]);
-          expand_one(w.cur_fused, w.pending_depths[w.pending_top]);
+        if (w.expand(store, frontier[i]) == Worker::Halt::kLimit) {
+          limit_hit.store(true, std::memory_order_relaxed);
+          return;
         }
       }
     }
@@ -624,8 +365,10 @@ SearchResult Explorer::run_parallel_reduced(const StopFn& stop,
       complete = true;
       break;
     }
-    if (limits.max_depth != 0 && depth >= limits.max_depth) break;
-    ++depth;
+    if (limits.max_depth != 0 && result.stats.depth >= limits.max_depth) {
+      break;
+    }
+    ++result.stats.depth;
     cursor.store(0, std::memory_order_relaxed);
     chunk = std::clamp<std::size_t>(
         frontier.size() / (static_cast<std::size_t>(threads) * 8), 1, 1024);
@@ -653,21 +396,14 @@ SearchResult Explorer::run_parallel_reduced(const StopFn& stop,
   sync.arrive_and_wait();  // let the pool observe `done` and exit
   for (auto& t : pool) t.join();
   for (const auto& w : workers) {
-    transitions += w.transitions;
-    fused += w.fused;
+    result.stats.transitions += w.transitions;
+    result.stats.fused += w.fused;
   }
 
   if (best != nullptr) {
     result.found = true;
-    std::vector<ta::State> chain;
-    for (std::uint32_t i =
-             best->found_transient ? best->found_parent : best->found_index;
-         i != ConcurrentStateStore::kInvalidIndex; i = store.parent_of(i)) {
-      chain.push_back(store.get(i));
-    }
-    std::reverse(chain.begin(), chain.end());
-    if (best->found_transient) chain.push_back(best->found_canon);
-    result.trace = rebuild_trace_replay(chain, canon, por);
+    result.trace =
+        rebuild_trace(best->hit_chain(store), best->canon, best->por);
     return finish(false);
   }
   return finish(complete);
@@ -708,60 +444,6 @@ SearchResult Explorer::check_invariant(const Pred& invariant,
 }
 
 std::vector<TraceStep> Explorer::rebuild_trace(
-    const Core& core, std::uint32_t target_index) const {
-  // Walk parent links back to the root, then recompute the action labels
-  // forward. Labels are not stored during the search (that would cost a
-  // string per state); re-deriving them along the single counterexample
-  // path is cheap.
-  std::vector<std::uint32_t> path;
-  for (std::uint32_t i = target_index; i != StateStore::kInvalidIndex;
-       i = core.parent[i]) {
-    path.push_back(i);
-  }
-  std::reverse(path.begin(), path.end());
-
-  ta::SuccessorScratch scratch;
-  std::vector<TraceStep> trace;
-  trace.reserve(path.size());
-  trace.push_back(TraceStep{"", core.store.get(path.front())});
-  for (std::size_t i = 1; i < path.size(); ++i) {
-    // Decode both endpoints: compressed stores have no raw() spans.
-    const ta::State parent_state = core.store.get(path[i - 1]);
-    ta::State step_state = core.store.get(path[i]);
-    std::string action =
-        net_->action_between(parent_state, step_state.slots(), scratch);
-    trace.push_back(TraceStep{std::move(action), std::move(step_state)});
-  }
-  return trace;
-}
-
-std::vector<TraceStep> Explorer::rebuild_trace(
-    const ConcurrentStateStore& store, std::uint32_t target_index) const {
-  // Same walk as the sequential variant, over the sharded store's parent
-  // links. Every parent was recorded at intern time from the previous
-  // BFS layer, so the path length always equals the target's layer.
-  std::vector<std::uint32_t> path;
-  for (std::uint32_t i = target_index;
-       i != ConcurrentStateStore::kInvalidIndex; i = store.parent_of(i)) {
-    path.push_back(i);
-  }
-  std::reverse(path.begin(), path.end());
-
-  ta::SuccessorScratch scratch;
-  std::vector<TraceStep> trace;
-  trace.reserve(path.size());
-  trace.push_back(TraceStep{"", store.get(path.front())});
-  for (std::size_t i = 1; i < path.size(); ++i) {
-    const ta::State parent_state = store.get(path[i - 1]);
-    ta::State step_state = store.get(path[i]);
-    std::string action =
-        net_->action_between(parent_state, step_state.slots(), scratch);
-    trace.push_back(TraceStep{std::move(action), std::move(step_state)});
-  }
-  return trace;
-}
-
-std::vector<TraceStep> Explorer::rebuild_trace_replay(
     const std::vector<ta::State>& canonical_chain, bool canon,
     bool por) const {
   std::vector<TraceStep> trace;

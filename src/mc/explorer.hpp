@@ -29,8 +29,9 @@ struct SearchLimits {
   std::uint64_t max_states = 200'000'000;
   std::uint64_t max_depth = 0;  ///< 0 means unlimited (BFS layers)
   /// Worker threads for the BFS: 0 = hardware concurrency, 1 = the
-  /// sequential path (bit-for-bit the classic explorer), N = N workers
-  /// over a sharded ConcurrentStateStore. Verdicts, depths and
+  /// sequential loop over a StateStore (stops at the first target hit),
+  /// N = N workers over a sharded ConcurrentStateStore (finish the layer
+  /// and keep its lexicographically smallest hit). Verdicts, depths and
   /// counterexample lengths are identical for every thread count; see
   /// DESIGN.md "Parallel exploration" for what is (and is not)
   /// deterministic about the statistics.
@@ -104,47 +105,34 @@ class Explorer {
                                const SearchLimits& limits = {});
 
  private:
-  struct Core {
-    StateStore store;
-    std::vector<std::uint32_t> parent;
-    std::uint64_t transitions = 0;
-    std::uint64_t depth = 0;
-  };
-
   /// The per-discovered-state target test. The scratch argument is a
   /// buffer distinct from the one driving the enumeration, so predicates
   /// may themselves generate successors (the deadlock test does).
   using StopFn =
       std::function<bool(const ta::State&, ta::SuccessorScratch&)>;
 
-  /// Shared BFS entry: dispatches to the sequential or the parallel
-  /// layer-synchronous loop depending on `limits.threads`, and to the
-  /// reduced variants when symmetry or POR is requested. The unreduced
-  /// paths are untouched by reduction support, so default-flag runs
-  /// stay bit-for-bit identical to the historical explorer.
+  /// One search worker and the per-frontier-state expansion both loops
+  /// call (defined in explorer.cpp).
+  class Worker;
+
+  /// Shared BFS entry: the sequential loop when `limits.threads` resolves
+  /// to 1, the parallel layer-synchronous loop otherwise. Both run every
+  /// search, reduced or not: the unreduced search is the identity
+  /// canonicalization with no committed-chain fusion.
   SearchResult run(const StopFn& stop, const SearchLimits& limits);
   SearchResult run_sequential(const StopFn& stop, const SearchLimits& limits);
   SearchResult run_parallel(const StopFn& stop, const SearchLimits& limits,
                             unsigned threads);
-  SearchResult run_sequential_reduced(const StopFn& stop,
-                                      const SearchLimits& limits);
-  SearchResult run_parallel_reduced(const StopFn& stop,
-                                    const SearchLimits& limits,
-                                    unsigned threads);
 
-  std::vector<TraceStep> rebuild_trace(const Core& core,
-                                       std::uint32_t target_index) const;
-  std::vector<TraceStep> rebuild_trace(const ConcurrentStateStore& store,
-                                       std::uint32_t target_index) const;
-
-  /// Reduced-mode counterexamples: the store holds canonical orbit
-  /// representatives with fused gaps, so the real trace is recovered by
-  /// forward replay from the real initial state — per stored step, a
-  /// bounded DFS over real successors (descending only through
-  /// transient states) finds a real path whose endpoint canonicalizes
-  /// to the stored image. The rendered states carry genuine participant
-  /// ids throughout.
-  std::vector<TraceStep> rebuild_trace_replay(
+  /// Counterexamples: the store holds canonical orbit representatives
+  /// (the states themselves when `canon` is off) with fused gaps (none
+  /// when `por` is off), so the real trace is recovered by forward
+  /// replay from the real initial state — per stored step, a bounded
+  /// DFS over real successors (descending only through transient
+  /// states) finds a real path whose endpoint canonicalizes to the
+  /// stored image. The rendered states carry genuine participant ids
+  /// throughout.
+  std::vector<TraceStep> rebuild_trace(
       const std::vector<ta::State>& canonical_chain, bool canon,
       bool por) const;
 

@@ -591,15 +591,8 @@ LocKind Network::location_kind(AutomatonId a, int loc_index) const {
 }
 
 std::string Network::label_of(const Transition& t) const {
-  if (t.kind == Transition::Kind::Tick) return "tick";
-  const auto part_label = [&](const Transition::Part& p) {
-    const auto& a = automata_[static_cast<std::size_t>(p.automaton)];
-    const auto& e = a.edges[static_cast<std::size_t>(p.edge)];
-    return a.name + "." + (e.label.empty() ? "<unlabeled>" : e.label);
-  };
-  std::string out = part_label(t.sender);
-  for (const auto& r : t.receivers) out += " >> " + part_label(r);
-  return out;
+  return label_of(SuccessorView{t.target.slots(), t.kind, t.sender,
+                                t.receivers});
 }
 
 std::string Network::label_of(const SuccessorView& v) const {

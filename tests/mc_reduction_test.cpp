@@ -168,10 +168,11 @@ TEST(Reduction, TwoParticipantQuotientShrinksAndParallelMatches) {
 }
 
 TEST(Reduction, CounterexampleTraceIsARealRun) {
-  // Reduced-mode counterexamples are replayed forward through the
-  // unreduced network: every step must be a genuine transition between
-  // genuine states (no canonical representatives leaking out), ending
-  // in a state that satisfies the target predicate.
+  // Every counterexample is replayed forward through the unreduced
+  // network, by both BFS loops, reduced or not: every step must be a
+  // genuine transition between genuine states (no canonical
+  // representatives leaking out) labelled with that transition's
+  // action, ending in a state that satisfies the target predicate.
   BuildOptions options;
   options.timing = {10, 10};
   options.participants = 2;
@@ -180,24 +181,38 @@ TEST(Reduction, CounterexampleTraceIsARealRun) {
   const auto pred = model.r2_violation_any();
 
   mc::Explorer explorer{model.net()};
-  const auto result = explorer.reach(pred, reduced_limits());
-  ASSERT_TRUE(result.found);
-  ASSERT_FALSE(result.trace.empty());
-  EXPECT_EQ(result.trace.front().state, net.initial_state());
-  EXPECT_TRUE(result.trace.front().action.empty());
-  for (std::size_t i = 1; i < result.trace.size(); ++i) {
-    const auto& step = result.trace[i];
-    EXPECT_NE(step.action, "<unreplayed>");
-    bool connected = false;
-    for (const auto& t : net.successors(result.trace[i - 1].state)) {
-      if (t.target == step.state) {
-        connected = true;
-        break;
+  for (const bool reduced : {false, true}) {
+    for (const unsigned threads : {1u, 4u}) {
+      SCOPED_TRACE(testing::Message()
+                   << (reduced ? "symmetry+por" : "unreduced")
+                   << " threads=" << threads);
+      mc::SearchLimits limits = reduced_limits(threads);
+      if (!reduced) {
+        limits.symmetry = ta::Symmetry::None;
+        limits.por = false;
       }
+      const auto result = explorer.reach(pred, limits);
+      ASSERT_TRUE(result.found);
+      ASSERT_FALSE(result.trace.empty());
+      EXPECT_EQ(result.trace.front().state, net.initial_state());
+      EXPECT_TRUE(result.trace.front().action.empty());
+      for (std::size_t i = 1; i < result.trace.size(); ++i) {
+        const auto& step = result.trace[i];
+        bool connected = false;
+        bool labelled = false;
+        for (const auto& t : net.successors(result.trace[i - 1].state)) {
+          if (t.target != step.state) continue;
+          connected = true;
+          labelled = labelled || net.label_of(t) == step.action;
+        }
+        EXPECT_TRUE(connected) << "trace step " << i << " is not a transition";
+        EXPECT_TRUE(labelled) << "trace step " << i << " action \""
+                              << step.action
+                              << "\" labels no connecting transition";
+      }
+      EXPECT_TRUE(pred(ta::StateView{net, result.trace.back().state}));
     }
-    EXPECT_TRUE(connected) << "trace step " << i << " is not a transition";
   }
-  EXPECT_TRUE(pred(ta::StateView{net, result.trace.back().state}));
 }
 
 TEST(Reduction, AmpleSetFusesCraftedCommittedInterleaving) {
