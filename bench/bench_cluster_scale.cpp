@@ -332,8 +332,8 @@ int main(int argc, char** argv) {
   }
 
   // Legacy baseline at 10k (skipped when a single other size was asked
-  // for): same protocol work on the binary-heap simulator and
-  // map-routed network.
+  // for): same protocol work on hb::Cluster (per-node objects on
+  // sim::Simulator and sim::Network).
   if (std::find(sizes.begin(), sizes.end(), 10'000) != sizes.end()) {
     const auto legacy = steady_state_legacy(10'000, 10);
     const double speedup = legacy.beats > 0 && scale_bps_10k > 0

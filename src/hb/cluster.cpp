@@ -374,15 +374,19 @@ void Cluster::arm_timer(int node_id) {
   if (when == kNever) return;
   // Timers run at lower priority than deliveries when receive_priority
   // is on, so a beat arriving exactly at a deadline is processed first.
-  timer = sim_.at(
-      std::max(when, sim_.now()),
-      [this, node_id] {
-        timers_[static_cast<std::size_t>(node_id)] =
-            sim::Simulator::kInvalidEvent;
-        dispatch(node_id, node_elapsed(node_id, local_now(node_id)));
-        arm_timer(node_id);
-      },
-      config_.receive_priority ? 1 : 0);
+  timer = sim_.at(std::max(when, sim_.now()),
+                  sim::Call{&Cluster::fire_timer, this,
+                            static_cast<std::uint64_t>(node_id)},
+                  config_.receive_priority ? 1 : 0);
+}
+
+void Cluster::fire_timer(void* self, std::uint64_t node) {
+  auto& cluster = *static_cast<Cluster*>(self);
+  const int node_id = static_cast<int>(node);
+  cluster.timers_[node] = sim::Simulator::kInvalidEvent;
+  cluster.dispatch(node_id,
+                   cluster.node_elapsed(node_id, cluster.local_now(node_id)));
+  cluster.arm_timer(node_id);
 }
 
 }  // namespace ahb::hb

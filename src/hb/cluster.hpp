@@ -206,6 +206,8 @@ class Cluster {
   void emit(ProtocolEvent::Kind kind, int node, std::uint64_t msg_id = 0,
             std::uint32_t fanout = 0);
   void arm_timer(int node_id);
+  /// Timer event of node `node` (a sim::Call on the cluster).
+  static void fire_timer(void* self, std::uint64_t node);
   Actions node_elapsed(int node_id, sim::Time now);
   sim::Time node_next_event(int node_id) const;
   /// Reads node `node_id`'s clock: advances the reconstruction by the

@@ -2,9 +2,9 @@
 //
 // Same protocol, different mechanics. hb::Cluster simulates a handful
 // of nodes with one heap-allocated Coordinator/Participant object per
-// process, std::map-routed message delivery and a binary-heap simulator
-// whose every timer rearm is O(log n) — fine for conformance work,
-// hopeless for a coordinator watching 100k members. ScaleCluster keeps
+// process, a std::function handler per node and an Actions vector per
+// protocol step — fine for conformance work, hopeless for a
+// coordinator watching 100k members. ScaleCluster keeps
 // the protocol state in struct-of-arrays form (status, deadline,
 // next-join, waiting-time ladders as parallel flat vectors indexed by
 // dense node id; joined/received/leave-requested as word-packed
@@ -18,9 +18,10 @@
 // injected fault schedule, ScaleCluster consumes the seeded RNG stream
 // in exactly the legacy order (loss draw, then delay draw, per send)
 // and schedules work in exactly the legacy (time, priority,
-// schedule-order) sequence, so its ProtocolEvent stream — kinds, times,
-// node ids, message ids, fan-outs — is bit-for-bit identical to
-// hb::Cluster's. tests/hb_scale_equivalence_test.cpp pins this on all
+// schedule-order) sequence (both engines schedule on the same timer
+// wheel, hb::Cluster through sim::Simulator), so its ProtocolEvent
+// stream — kinds, times, node ids, message ids, fan-outs — is
+// bit-for-bit identical to hb::Cluster's. tests/hb_scale_equivalence_test.cpp pins this on all
 // six variants; the conformance replayer accepts its traces unchanged,
 // which is what makes the fast engine provably the same protocol.
 //

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "mc/store.hpp"
 #include "util/contracts.hpp"
 
 namespace ahb::mc {

@@ -25,7 +25,9 @@
 // live in vectors indexed by node id, node isolation is a bitset behind
 // an any-isolated flag, and the rarely-touched fault state (links down,
 // burst chains, per-link overrides) hides behind empty-checks — a
-// healthy send touches no associative container at all.
+// healthy send touches no associative container at all. A message in
+// flight waits in a pooled record and its delivery is one typed
+// Simulator::Call, so a warm transport sends without allocating.
 #pragma once
 
 #include <algorithm>
@@ -114,6 +116,9 @@ class Network {
 
   explicit Network(Simulator& sim, LinkParams defaults = {})
       : sim_(&sim), defaults_(defaults) {}
+  // Pending deliveries are scheduled with `this` as their context.
+  Network(const Network&) = delete;
+  Network& operator=(const Network&) = delete;
 
   /// Registers the message handler of node `id`.
   void attach(int id, Handler handler) {
@@ -241,28 +246,56 @@ class Network {
     return delay;
   }
 
+  /// A message in flight, parked in a pooled slot until its delivery
+  /// event (one allocation-free Call carrying the slot index) fires.
+  struct InFlight {
+    int from;
+    int to;
+    std::uint64_t id;
+    Time delay;
+    MessageT msg;
+  };
+
   void schedule_delivery(int from, int to, std::uint64_t id,
                          const MessageT& message, Time delay) {
-    sim_->after(delay, [this, from, to, id, delay, msg = message]() {
-      if (is_isolated(to)) {
-        ++stats_.blocked;
-        notify(ChannelEvent::Kind::Blocked, from, to, id, delay);
-        return;
-      }
-      if (static_cast<std::size_t>(to) >= handlers_.size() ||
-          !handlers_[static_cast<std::size_t>(to)]) {
-        return;  // crashed nodes receive silently
-      }
-      ++stats_.delivered;
-      std::uint64_t& newest = newest_delivered(from, to);
-      if (id < newest) {
-        ++stats_.reordered;
-      } else {
-        newest = id;
-      }
-      notify(ChannelEvent::Kind::Delivered, from, to, id, delay);
-      handlers_[static_cast<std::size_t>(to)](from, msg, id);
-    });
+    std::uint64_t slot;
+    if (free_in_flight_.empty()) {
+      slot = in_flight_.size();
+      in_flight_.push_back({from, to, id, delay, message});
+    } else {
+      slot = free_in_flight_.back();
+      free_in_flight_.pop_back();
+      in_flight_[slot] = {from, to, id, delay, message};
+    }
+    sim_->after(delay, Call{&deliver_thunk, this, slot});
+  }
+
+  static void deliver_thunk(void* self, std::uint64_t slot) {
+    auto& net = *static_cast<Network*>(self);
+    const InFlight m = net.in_flight_[slot];
+    net.free_in_flight_.push_back(slot);
+    net.deliver(m);
+  }
+
+  void deliver(const InFlight& m) {
+    if (is_isolated(m.to)) {
+      ++stats_.blocked;
+      notify(ChannelEvent::Kind::Blocked, m.from, m.to, m.id, m.delay);
+      return;
+    }
+    if (static_cast<std::size_t>(m.to) >= handlers_.size() ||
+        !handlers_[static_cast<std::size_t>(m.to)]) {
+      return;  // crashed nodes receive silently
+    }
+    ++stats_.delivered;
+    std::uint64_t& newest = newest_delivered(m.from, m.to);
+    if (m.id < newest) {
+      ++stats_.reordered;
+    } else {
+      newest = m.id;
+    }
+    notify(ChannelEvent::Kind::Delivered, m.from, m.to, m.id, m.delay);
+    handlers_[static_cast<std::size_t>(m.to)](m.from, m.msg, m.id);
   }
 
   void notify(ChannelEvent::Kind kind, int from, int to, std::uint64_t id,
@@ -328,6 +361,8 @@ class Network {
   std::map<LinkKey, LinkParams> links_;
   std::vector<std::uint64_t> down_;  ///< sorted link_key()s
   std::vector<Handler> handlers_;
+  std::vector<InFlight> in_flight_;
+  std::vector<std::uint64_t> free_in_flight_;
   DenseBitset isolated_;
   bool any_isolated_ = false;
   std::vector<std::pair<std::uint64_t, bool>> burst_state_;

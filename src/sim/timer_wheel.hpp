@@ -1,29 +1,31 @@
-// Hierarchical timer wheel: O(1) arm/cancel/rearm for the
-// cluster-scale heartbeat engine.
+// Hierarchical timer wheel (Varghese & Lauck, SOSP '87): O(1)
+// arm/cancel/rearm for both heartbeat engines.
 //
-// The small-n path (sim::Simulator) keeps every pending event in one
-// binary heap of heap-allocated closures; arming a deadline is O(log n)
-// and cancel+rearm — which the heartbeat engines do on *every* message
-// delivery — churns the heap. At hundreds of thousands of monitored
-// participants that dominates the run. This wheel stores plain payload
-// records in pooled, index-linked slot lists (no per-event allocation
-// after warm-up) bucketed by expiry tick across kLevels levels of 64
-// slots each: level k spans 64^(k+1) ticks, so any deadline within
-// ~6.9e10 ticks of now is an O(1) list insert, and cancellation unlinks
-// in O(1) via a generation-checked handle.
+// Heartbeat engines cancel and rearm a deadline on *every* message
+// delivery, so a comparison heap of pending events spends its time
+// churning. This wheel stores plain payload records in pooled,
+// index-linked slot lists (no per-event allocation after warm-up)
+// bucketed by expiry tick across kLevels levels of 64 slots each:
+// level k spans 64^(k+1) ticks, so any deadline within ~6.9e10 ticks
+// of now is an O(1) list insert, and cancellation unlinks in O(1) via
+// a generation-checked handle. Deadlines beyond that span (a clock
+// fault can push one towards kNever/4) wait in a small far-future
+// min-heap by expiry tick and are filed into the wheel, with the arm
+// sequence they were given, once they come within range.
 //
-// Determinism contract (matches sim::Simulator exactly): entries due at
-// the same tick fire ordered by (priority, arm-sequence) — deliveries
-// at priority 0 outrun timers at priority 1, ties fall back to FIFO arm
-// order. The cluster-scale engine relies on this to reproduce the
-// legacy engine's event interleavings bit-for-bit; the property test in
-// tests/sim_timer_wheel_test.cpp pins the order against a sorted-set
-// oracle.
+// Determinism contract: entries due at the same tick fire ordered by
+// (priority, arm-sequence) — deliveries at priority 0 outrun timers at
+// priority 1, ties fall back to FIFO arm order. sim::Simulator (under
+// hb::Cluster) and hb::ScaleCluster both schedule on this wheel, which
+// is what keeps their event interleavings bit-for-bit identical; the
+// property test in tests/sim_timer_wheel_test.cpp pins the order
+// against a sorted-set oracle.
 #pragma once
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "util/contracts.hpp"
@@ -37,7 +39,7 @@ class TimerWheel {
 
   /// Generation-checked reference to a pending entry. Default-constructed
   /// handles are invalid; cancel() of an invalid/expired handle is a
-  /// no-op, like Simulator::cancel.
+  /// no-op.
   struct Handle {
     std::uint32_t index = kNullIndex;
     std::uint32_t generation = 0;
@@ -59,13 +61,12 @@ class TimerWheel {
   Time now() const { return now_; }
   std::size_t pending() const { return pending_; }
 
-  /// Arms an entry at absolute tick `when` (>= now(), and within the
-  /// wheel span of ~64^kLevels ticks — callers never arm the kNever
-  /// sentinel). Priority is 0 (deliveries) or 1 (timers) — the two
-  /// lanes the simulator's receive-priority tiebreak needs. O(1).
+  /// Arms an entry at absolute tick `when` (>= now()). Priority is 0
+  /// (deliveries) or 1 (timers) — the two lanes the receive-priority
+  /// tiebreak needs. O(1) within the wheel span of 64^kLevels ticks;
+  /// later deadlines cost O(log f) in the f-entry far-future heap.
   Handle arm(Time when, int priority, const Payload& payload) {
     AHB_EXPECTS(when >= now_);
-    AHB_EXPECTS(when - now_ < kSpanTicks);
     AHB_EXPECTS(priority == 0 || priority == 1);
     const std::uint32_t idx = alloc();
     Node& node = pool_[idx];
@@ -75,24 +76,34 @@ class TimerWheel {
     node.payload = payload;
     node.live = true;
     ++pending_;
-    place(idx);
+    if (when - now_ >= kSpanTicks) [[unlikely]] {
+      push_far(idx);
+    } else {
+      place(idx);
+    }
     return Handle{idx, node.generation};
   }
 
-  /// Cancels a pending entry; returns true if it was still pending.
-  /// O(1): wheel-resident entries unlink immediately, entries already
-  /// staged in the current-tick ready heap are discarded lazily.
-  bool cancel(Handle h) {
+  /// Cancels a pending entry; returns true if it was still pending,
+  /// and then copies its payload to `*cancelled` when given. O(1):
+  /// wheel-resident entries unlink immediately, entries staged in the
+  /// current-tick ready lanes or waiting in the far-future heap are
+  /// discarded lazily.
+  bool cancel(Handle h, Payload* cancelled = nullptr) {
     if (!h.valid() || h.index >= pool_.size()) return false;
     Node& node = pool_[h.index];
     if (node.generation != h.generation || !node.live) return false;
+    if (cancelled != nullptr) *cancelled = node.payload;
     node.live = false;
     --pending_;
     if (node.location == Location::Wheel) {
       unlink(h.index);
       free_node(h.index);
+    } else if (node.location == Location::Far) {
+      ++far_dead_;
+      if (far_dead_ > kFarSlack && far_dead_ * 2 > far_.size()) compact_far();
     }
-    // Location::Ready: the ready heap drops it when popped.
+    // Location::Ready: the ready lane drops it when popped.
     return true;
   }
 
@@ -149,8 +160,11 @@ class TimerWheel {
   static constexpr int kLevels = 6;
   /// Total tick span the wheel can hold: 64^kLevels.
   static constexpr Time kSpanTicks = Time{1} << (kLevelBits * kLevels);
+  /// Cancelled far-future entries tolerated before the heap is rebuilt
+  /// without them (rebuilt once they also make up half of it).
+  static constexpr std::size_t kFarSlack = 64;
 
-  enum class Location : std::uint8_t { Free, Wheel, Ready };
+  enum class Location : std::uint8_t { Free, Wheel, Ready, Far };
 
   struct Node {
     Time when = 0;
@@ -197,7 +211,7 @@ class TimerWheel {
 
   /// Files a node by its delta from now: level k holds deltas in
   /// [64^k, 64^(k+1)), slot index is the node's absolute tick sliced at
-  /// that level. Entries due exactly now go straight to the ready heap.
+  /// that level. Entries due exactly now go straight to the ready lanes.
   void place(std::uint32_t idx) {
     Node& node = pool_[idx];
     const Time delta = node.when - now_;
@@ -233,6 +247,51 @@ class TimerWheel {
     node.prev = node.next = kNullIndex;
   }
 
+  // Far-future stage: entries at least kSpanTicks ahead, as a min-heap
+  // of (when, idx). Invariant between public calls: every entry in it
+  // is still >= kSpanTicks ahead of now(), so next_event_tick() offers
+  // the tick where the earliest one comes within range, and
+  // advance_to_tick() files every entry that has. Only clock faults
+  // arm this far ahead; the helpers are kept cold and out of line so
+  // arm() and pop() inline as tightly as they do without the stage (a
+  // same-process A/B of the ScaleCluster deadline pattern measured the
+  // inlined form ~5 % slower per operation).
+  struct FarEntry {
+    Time when;
+    std::uint32_t idx;
+    bool operator>(const FarEntry& other) const { return when > other.when; }
+  };
+
+  [[gnu::noinline, gnu::cold]] void push_far(std::uint32_t idx) {
+    pool_[idx].location = Location::Far;
+    far_.push_back({pool_[idx].when, idx});
+    std::push_heap(far_.begin(), far_.end(), std::greater<>{});
+  }
+
+  [[gnu::noinline, gnu::cold]] void file_far() {
+    while (!far_.empty() && far_.front().when - now_ < kSpanTicks) {
+      std::pop_heap(far_.begin(), far_.end(), std::greater<>{});
+      const std::uint32_t idx = far_.back().idx;
+      far_.pop_back();
+      if (pool_[idx].live) {
+        place(idx);
+      } else {
+        --far_dead_;
+        free_node(idx);
+      }
+    }
+  }
+
+  [[gnu::noinline, gnu::cold]] void compact_far() {
+    std::erase_if(far_, [this](const FarEntry& entry) {
+      if (pool_[entry.idx].live) return false;
+      free_node(entry.idx);
+      return true;
+    });
+    std::make_heap(far_.begin(), far_.end(), std::greater<>{});
+    far_dead_ = 0;
+  }
+
   // Ready stage: entries due at the current tick, fired in
   // (priority, seq) order. Two FIFO lanes — one per priority — hold
   // (seq, idx) pairs with the sort key inline, so draining never
@@ -259,8 +318,8 @@ class TimerWheel {
 
   std::uint32_t pop_ready() {
     // Lane 0 always outranks lane 1 at the same tick; a lane-0 arm that
-    // lands while lane 1 is draining simply fires next, exactly like
-    // the legacy binary heap.
+    // lands while lane 1 is draining simply fires next, as the
+    // (when, priority, seq) order requires.
     const int lane = lane_head_[0] < lanes_[0].size() ? 0 : 1;
     const std::uint32_t idx = lanes_[lane][lane_head_[lane]++].idx;
     if (ready_empty()) {
@@ -279,9 +338,10 @@ class TimerWheel {
   /// to a slot index <= the current one, including the current slot
   /// itself). Returned ticks are cascade boundaries, not necessarily
   /// due entries: advancing there either stages level-0 work or
-  /// re-files a coarser slot, and the scan repeats.
+  /// re-files a coarser slot, and the scan repeats. The far-future heap
+  /// offers the tick where its earliest entry comes within the span.
   Time next_event_tick() const {
-    Time best = -1;
+    Time best = far_.empty() ? -1 : far_.front().when - (kSpanTicks - 1);
     for (int k = 0; k < kLevels; ++k) {
       if (occupied_[k] == 0) continue;
       const int cur =
@@ -320,12 +380,15 @@ class TimerWheel {
     }
   }
 
-  /// Jumps now() to tick `t`, cascading every level whose slot boundary
-  /// `t` starts (highest level first, so cascades can deposit into the
-  /// lower-level slots cascaded right after) and staging the entries of
-  /// the new level-0 slot into the ready heap.
+  /// Jumps now() to tick `t`, files the far-future entries now within
+  /// range, cascades every level whose slot boundary `t` starts
+  /// (highest level first, so cascades can deposit into the lower-level
+  /// slots cascaded right after) and stages the entries of the new
+  /// level-0 slot into the ready lanes. Filed far entries are still
+  /// ~kSpanTicks ahead, so they land on the top level, never ready.
   void advance_to_tick(Time t) {
     now_ = t;
+    if (!far_.empty()) file_far();
     for (int k = kLevels - 1; k >= 1; --k) {
       if ((t & (level_span(k) - 1)) == 0) {
         cascade(k, static_cast<int>((t >> (kLevelBits * k)) & (kSlots - 1)));
@@ -362,6 +425,8 @@ class TimerWheel {
   std::size_t pending_ = 0;
   std::vector<Node> pool_;
   std::vector<std::uint32_t> free_list_;
+  std::vector<FarEntry> far_;
+  std::size_t far_dead_ = 0;  ///< cancelled entries still in far_
   std::vector<ReadyEntry> lanes_[2];
   std::size_t lane_head_[2] = {0, 0};
   LevelHeads heads_[kLevels];

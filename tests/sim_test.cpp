@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <set>
+#include <tuple>
+#include <vector>
+
+#include "hb/types.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
+#include "util/rng.hpp"
 
 namespace ahb::sim {
 namespace {
@@ -79,6 +86,179 @@ TEST(Simulator, StepExecutesOne) {
   EXPECT_TRUE(sim.step(10));
   EXPECT_FALSE(sim.step(10));
   EXPECT_EQ(fired, 2);
+}
+
+TEST(Simulator, CancelOfFiredOrUnknownIdIsANoop) {
+  {  // an id no at() returned
+    Simulator sim;
+    sim.cancel(12345);
+    sim.at(1, [] {});
+    EXPECT_EQ(sim.pending(), 1u);
+  }
+  {  // a fired id, before and after its wheel slot is reused
+    Simulator sim;
+    const auto fired = sim.at(1, [] {});
+    sim.run_until(1);
+    sim.cancel(fired);
+    EXPECT_EQ(sim.pending(), 0u);
+    int ran = 0;
+    sim.at(2, [&] { ++ran; });
+    sim.cancel(fired);
+    EXPECT_EQ(sim.pending(), 1u);
+    sim.run_until(2);
+    EXPECT_EQ(ran, 1);
+    EXPECT_EQ(sim.pending(), 0u);
+  }
+  {  // a self-re-arming timer that cancels its own, already fired, id
+    Simulator sim;
+    Simulator::EventId timer = Simulator::kInvalidEvent;
+    std::function<void()> arm = [&] {
+      sim.cancel(timer);
+      timer = sim.at(sim.now() + 1, [&] { arm(); }, 1);
+    };
+    arm();
+    sim.run_until(200'000);
+    EXPECT_EQ(sim.executed(), 200'000u);
+    EXPECT_EQ(sim.pending(), 1u);
+  }
+}
+
+TEST(Simulator, PooledClosuresAreReleasedOnFireAndOnCancel) {
+  Simulator sim;
+  const auto token = std::make_shared<int>(0);
+  const auto doomed = sim.at(5, [token] {});
+  sim.at(6, [token] {});
+  EXPECT_EQ(token.use_count(), 3);
+  sim.cancel(doomed);
+  EXPECT_EQ(token.use_count(), 2);
+  sim.run_until(6);
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+// Seeded random mix of at() (both priorities, typed Call and closure,
+// near and far-future), cancel() of any id ever returned (pending,
+// fired or cancelled) and run_until(), replayed against an ordered set
+// keyed by (when, priority, seq). Events whose seq is a multiple of 5
+// arm a child when they fire, some at the same instant, so same-tick
+// arms during a drain are covered too.
+class OracleReplay {
+ public:
+  struct Key {
+    Time when;
+    int priority;
+    std::uint64_t seq;
+    bool operator<(const Key& other) const {
+      return std::tie(when, priority, seq) <
+             std::tie(other.when, other.priority, other.seq);
+    }
+  };
+
+  /// Arms one event on both sides; returns its seq.
+  std::uint64_t arm(Time when, int priority, bool typed) {
+    const std::uint64_t seq = ids_.size();
+    ids_.push_back(typed ? sim_.at(when, Call{&fire, this, seq}, priority)
+                         : sim_.at(when, [this, seq] { on_fire(seq); },
+                                   priority));
+    arm_oracle(when, priority);
+    return seq;
+  }
+
+  void cancel(std::uint64_t seq) {
+    sim_.cancel(ids_[seq]);
+    oracle_.erase(keys_[seq]);
+  }
+
+  void run_until(Time horizon) {
+    sim_.run_until(horizon);
+    while (!oracle_.empty() && oracle_.begin()->when <= horizon) {
+      const Key key = *oracle_.begin();
+      oracle_.erase(oracle_.begin());
+      expected_.push_back(key.seq);
+      if (spawns(key.seq)) arm_oracle(key.when + child_delay(key.seq),
+                                      child_priority(key.seq));
+    }
+  }
+
+  void expect_agree() const {
+    ASSERT_EQ(fired_, expected_);
+    ASSERT_EQ(ids_.size(), keys_.size());
+    ASSERT_EQ(sim_.pending(), oracle_.size());
+    ASSERT_EQ(sim_.executed(), expected_.size());
+  }
+
+  Simulator& sim() { return sim_; }
+  std::size_t armed() const { return ids_.size(); }
+
+ private:
+  static bool spawns(std::uint64_t seq) { return seq % 5 == 0; }
+  static Time child_delay(std::uint64_t seq) { return static_cast<Time>(seq % 3); }
+  static int child_priority(std::uint64_t seq) { return static_cast<int>(seq / 5 % 2); }
+
+  static void fire(void* self, std::uint64_t seq) {
+    static_cast<OracleReplay*>(self)->on_fire(seq);
+  }
+
+  void on_fire(std::uint64_t seq) {
+    fired_.push_back(seq);
+    if (!spawns(seq)) return;
+    const std::uint64_t child = ids_.size();
+    const Time when = sim_.now() + child_delay(seq);
+    ids_.push_back(child % 2 == 0
+                       ? sim_.at(when, Call{&fire, this, child},
+                                 child_priority(seq))
+                       : sim_.at(when, [this, child] { on_fire(child); },
+                                 child_priority(seq)));
+  }
+
+  void arm_oracle(Time when, int priority) {
+    keys_.push_back({when, priority, keys_.size()});
+    oracle_.insert(keys_.back());
+  }
+
+  Simulator sim_;
+  std::vector<Simulator::EventId> ids_;  ///< by seq
+  std::vector<std::uint64_t> fired_;
+  std::set<Key> oracle_;
+  std::vector<Key> keys_;  ///< by seq
+  std::vector<std::uint64_t> expected_;
+};
+
+TEST(Simulator, RandomMixMatchesWhenPrioritySeqOracle) {
+  constexpr Time kSpan = Time{1} << 36;  // the timer wheel's span
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed=" << seed);
+    Rng rng{seed};
+    OracleReplay replay;
+    for (int step = 0; step < 2000; ++step) {
+      const Time now = replay.sim().now();
+      const auto op = rng.below(10);
+      if (op < 5) {
+        Time delta;
+        switch (rng.below(5)) {
+          case 0: delta = static_cast<Time>(rng.below(4)); break;
+          case 1: delta = static_cast<Time>(rng.below(64 * 64)); break;
+          case 2: delta = static_cast<Time>(rng.below(64ull * 64 * 64 * 64)); break;
+          case 3: delta = kSpan + static_cast<Time>(rng.below(4096)); break;
+          default: delta = hb::kNever / 4 - now; break;
+        }
+        replay.arm(now + delta, static_cast<int>(rng.below(2)),
+                   rng.below(2) == 0);
+      } else if (op < 7 && replay.armed() > 0) {
+        replay.cancel(rng.below(replay.armed()));
+      } else {
+        const Time horizon =
+            now + (rng.below(10) == 0
+                       ? kSpan + static_cast<Time>(rng.below(4096))
+                       : static_cast<Time>(rng.below(300)));
+        replay.run_until(horizon);
+        ASSERT_EQ(replay.sim().now(), horizon);
+      }
+      replay.expect_agree();
+    }
+    replay.run_until(hb::kNever / 4 + kSpan);
+    replay.expect_agree();
+    EXPECT_EQ(replay.sim().pending(), 0u);
+  }
 }
 
 struct Msg {
